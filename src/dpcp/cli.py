@@ -81,18 +81,7 @@ def _cmd_solve(args) -> int:
         c_prime=args.cprime, max_iters=args.max_iters, stop_tol=args.stop_tol,
         schedule=_schedule_from_args(args), seed=seed,
     )
-    basis = solver.psgm_multi(matrix, config)
-    report = analysis.recovery_report(
-        basis, matrix=matrix, rank_strategy=args.rank_strategy, tau=args.tau
-    )
-    print(f"estimated_codim={report.estimated_codim}")
-    if args.out_basis:
-        save_csv(DataMatrix(points=basis.columns, unit_normalized=True), args.out_basis)
-        print(f"wrote basis to {args.out_basis}")
-    if args.out_report:
-        with open(args.out_report, "w") as fh:
-            fh.write(to_json(report))
-        print(f"wrote report to {args.out_report}")
+    _finish_basis(solver.psgm_multi(matrix, config), matrix, args)
     return 0
 
 
@@ -103,6 +92,12 @@ def _cmd_rsgm(args) -> int:
         matrix, args.cprime, _schedule_from_args(args),
         max_iters=args.max_iters, stop_tol=args.stop_tol,
     )
+    _finish_basis(basis, matrix, args)
+    return 0
+
+
+def _finish_basis(basis, matrix: DataMatrix, args) -> None:
+    """Report the estimated codimension and write the requested outputs."""
     report = analysis.recovery_report(
         basis, matrix=matrix, rank_strategy=args.rank_strategy, tau=args.tau
     )
@@ -114,7 +109,6 @@ def _cmd_rsgm(args) -> int:
         with open(args.out_report, "w") as fh:
             fh.write(to_json(report))
         print(f"wrote report to {args.out_report}")
-    return 0
 
 
 def _estimate_model(matrix: DataMatrix, d: int | None):
@@ -205,7 +199,7 @@ def _cmd_continuous(args) -> int:
         mu0=None if args.mu0 in (None, "auto") else float(args.mu0),
         stop_tol=args.stop_tol, workers=args.workers,
     )
-    table = harness.run_continuous_check(config)
+    table = harness.run_experiment(config)
     _finish_table(table, args)
     return 0
 
@@ -364,3 +358,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,16 @@ import numpy as np
 from .analysis import projection_distance
 from .dataset import SubspaceModel
 from .geometry import hemisphere_height
-from .solver import MBLS, StepSchedule, Trace, step_size
+from .solver import (
+    MBLS,
+    StepSchedule,
+    Trace,
+    descend,
+    sphere_distance,
+    sphere_retract,
+    sphere_sqnorm,
+    step_size,
+)
 
 _ZERO_TOL = 1e-14
 
@@ -95,44 +104,27 @@ def continuous_psgm_run(
         raise ValueError("measure-zero initialization: b0 lies in the inlier subspace")
 
     forbidden = 1.0 / (problem.p * problem.c_D) if problem.p > 0 else math.inf
-    objs = [continuous_objective(problem, b)]
-    angles = [math.acos(min(comp_norm(b), 1.0))]
-    steps: list[float] = []
-    iterates = [b.copy()] if record_iterates else None
 
-    for k in range(max_iters):
-        sproj = sub.basis_S @ (sub.basis_S.T @ b)
-        ns = np.linalg.norm(sproj)
-        if ns <= _ZERO_TOL:
-            break  # already in the complement: fixed point reached
+    def step(k):
         mu = step_size(schedule, k)
         if mu == forbidden:
             raise ValueError(
                 f"forbidden step: mu = 1/(p c_D) = {forbidden:.17g} kills the complement component"
             )
-        step = mu * (problem.p * problem.c_D * b + (1.0 - problem.p) * problem.c_d * sproj / ns)
-        c = b - step
-        nc = np.linalg.norm(c)
-        if nc == 0.0:
-            raise ValueError("degenerate step: update collapsed to the zero vector")
-        b_new = c / nc
-        steps.append(mu)
-        movement = math.acos(min(max(float(b @ b_new), -1.0), 1.0))
-        b = b_new
-        objs.append(continuous_objective(problem, b))
-        angles.append(math.acos(min(comp_norm(b), 1.0)))
-        if iterates is not None:
-            iterates.append(b.copy())
-        if movement < stop_tol:
-            break
+        return mu
 
-    trace = Trace(
-        objective=np.asarray(objs),
-        step=np.asarray(steps),
-        angle=np.asarray(angles),
-        iterates=np.asarray(iterates) if iterates is not None else None,
+    def grad(x, _):
+        sproj = sub.basis_S @ (sub.basis_S.T @ x)
+        ns = np.linalg.norm(sproj)
+        if ns <= _ZERO_TOL:
+            return None  # already in the complement: fixed point reached
+        return problem.p * problem.c_D * x + (1.0 - problem.p) * problem.c_d * sproj / ns
+
+    return descend(
+        b, lambda x: (continuous_objective(problem, x), None), grad,
+        sphere_retract, sphere_distance, sphere_sqnorm, step, max_iters, stop_tol,
+        angle=lambda x: math.acos(min(comp_norm(x), 1.0)), record_iterates=record_iterates,
     )
-    return b, trace
 
 
 def continuous_span_check(

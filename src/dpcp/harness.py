@@ -15,7 +15,6 @@ persistence; two runs of the same config write byte-identical tables.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -209,9 +208,9 @@ def _schedule_from_config(config: ExperimentConfig) -> solver.StepSchedule:
     return solver.MBLS(mu_init=config.mu0)
 
 
-def _solver_config(config: ExperimentConfig, c_prime: int, seed: int) -> solver.SolverConfig:
+def _solver_config(config: ExperimentConfig, seed: int) -> solver.SolverConfig:
     return solver.SolverConfig(
-        c_prime=c_prime,
+        c_prime=config.c_prime,
         max_iters=config.max_iters,
         stop_tol=config.stop_tol,
         schedule=_schedule_from_config(config),
@@ -219,7 +218,17 @@ def _solver_config(config: ExperimentConfig, c_prime: int, seed: int) -> solver.
     )
 
 
-def _recovery_row(config, cell, method, trial, seed, model, matrix, basis) -> ResultRow:
+def _solve(config: ExperimentConfig, matrix: DataMatrix, method: str, seed: int, rsgm_c: int):
+    """psgm with c' instances, or rsgm at width rsgm_c."""
+    if method == "psgm":
+        return solver.psgm_multi(matrix, _solver_config(config, seed))
+    return rsgm.rsgm_run(
+        matrix, rsgm_c, _schedule_from_config(config),
+        max_iters=config.max_iters, stop_tol=config.stop_tol,
+    )
+
+
+def _recovery(config, model, matrix, basis) -> dict:
     rep = analysis.recovery_report(
         basis, model=model, matrix=matrix,
         rank_strategy=config.rank_strategy, tau=config.rank_tau,
@@ -227,10 +236,7 @@ def _recovery_row(config, cell, method, trial, seed, model, matrix, basis) -> Re
     report = _flatten_report(rep)
     if model is not None:
         report["true_codim"] = model.codim
-    return ResultRow(
-        cell=cell, method=method, trial=trial, seed=seed,
-        report=report, wall_time=0.0,
-    )
+    return report
 
 
 def cell_data_seeds(config: ExperimentConfig, *cell_parts) -> tuple[int, int]:
@@ -242,27 +248,14 @@ def cell_data_seeds(config: ExperimentConfig, *cell_parts) -> tuple[int, int]:
     )
 
 
-def _run_cell_phase(config: ExperimentConfig, N: int, M: int, method: str, trial: int) -> ResultRow:
-    cell = {"N": N, "M": M}
+def _phase_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
+                  seed: int) -> dict:
+    N, M = cell["N"], cell["M"]
     model_seed, data_seed = cell_data_seeds(config, N, M, trial)
-    solver_seed = derive_seed(config.seed, config.kind, N, M, trial, method, "solver")
-    t0 = time.perf_counter()
-    try:
-        model = sample_haar_subspace(config.D, config.d, model_seed)
-        matrix = generate_dataset(model, N, M, data_seed)
-        if method == "psgm":
-            basis = solver.psgm_multi(matrix, _solver_config(config, config.c_prime, solver_seed))
-        else:
-            c = model.codim if method == "rsgm" else config.c_prime
-            basis = rsgm.rsgm_run(
-                matrix, c, _schedule_from_config(config),
-                max_iters=config.max_iters, stop_tol=config.stop_tol,
-            )
-        row = _recovery_row(config, cell, method, trial, solver_seed, model, matrix, basis)
-    except Exception as e:  # noqa: BLE001 - a failed cell must not sink the grid
-        row = ResultRow(cell=cell, method=method, trial=trial, seed=solver_seed,
-                        report={}, wall_time=0.0, error=str(e))
-    return dataclasses.replace(row, wall_time=time.perf_counter() - t0)
+    model = sample_haar_subspace(config.D, config.d, model_seed)
+    matrix = generate_dataset(model, N, M, data_seed)
+    c = model.codim if method == "rsgm" else config.c_prime
+    return _recovery(config, model, matrix, _solve(config, matrix, method, seed, c))
 
 
 def ratio_to_counts(N: int, r: float) -> int:
@@ -270,21 +263,14 @@ def ratio_to_counts(N: int, r: float) -> int:
     return round(r * N / (1.0 - r))
 
 
-def _run_cell_codim(config: ExperimentConfig, c: int, r: float, trial: int) -> ResultRow:
-    cell = {"c": c, "r": r}
+def _codim_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
+                  seed: int) -> dict:
+    c, r = cell["c"], cell["r"]
     model_seed, data_seed = cell_data_seeds(config, c, r, trial)
-    solver_seed = derive_seed(config.seed, config.kind, c, r, trial, "psgm", "solver")
-    t0 = time.perf_counter()
-    try:
-        M = ratio_to_counts(config.N, r)
-        model = sample_haar_subspace(config.D, config.D - c, model_seed)
-        matrix = generate_dataset(model, config.N, M, data_seed)
-        basis = solver.psgm_multi(matrix, _solver_config(config, config.c_prime, solver_seed))
-        row = _recovery_row(config, cell, "psgm", trial, solver_seed, model, matrix, basis)
-    except Exception as e:  # noqa: BLE001
-        row = ResultRow(cell=cell, method="psgm", trial=trial, seed=solver_seed,
-                        report={}, wall_time=0.0, error=str(e))
-    return dataclasses.replace(row, wall_time=time.perf_counter() - t0)
+    M = ratio_to_counts(config.N, r)
+    model = sample_haar_subspace(config.D, config.D - c, model_seed)
+    matrix = generate_dataset(model, config.N, M, data_seed)
+    return _recovery(config, model, matrix, _solve(config, matrix, method, seed, c))
 
 
 def hsi_proxy(
@@ -311,132 +297,98 @@ def hsi_proxy(
     return model, DataMatrix(points=x, labels=labels, unit_normalized=True)
 
 
-def _run_cell_pursuit(config: ExperimentConfig, r: float, method: str, trial: int) -> ResultRow:
-    cell = {"r": r}
-    proxy_seed = derive_seed(config.seed, config.kind, "proxy")
+def _pursuit_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
+                    seed: int) -> dict:
+    r = cell["r"]
+    _, base = hsi_proxy(
+        D=config.D, inlier_dim=config.proxy_inlier_dim, n_columns=config.n_columns,
+        noise=config.proxy_noise, seed=derive_seed(config.seed, config.kind, "proxy"),
+    )
     corrupt_seed = derive_seed(config.seed, config.kind, r, trial, "corrupt")
-    solver_seed = derive_seed(config.seed, config.kind, r, trial, method, "solver")
-    t0 = time.perf_counter()
-    try:
-        _, base = hsi_proxy(
-            D=config.D, inlier_dim=config.proxy_inlier_dim, n_columns=config.n_columns,
-            noise=config.proxy_noise, seed=proxy_seed,
+    matrix = corrupt_with_outliers(base, r, corrupt_seed)
+    c = config.rsgm_known_c if method == "rsgm_known" else config.c_prime
+    return _recovery(config, None, matrix, _solve(config, matrix, method, seed, c))
+
+
+def _continuous_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
+                       seed: int) -> dict:
+    model_seed, _ = cell_data_seeds(config, trial)
+    model = sample_haar_subspace(config.D, config.d, model_seed)
+    problem = ContinuousProblem(subspace=model, p=config.p)
+    B0 = unit_sphere_columns(np.random.default_rng(seed), config.D, config.c_prime)
+    if config.p == 1.0:
+        return {"tag": "every direction is fixed at p=1; span check skipped"}
+    mu0 = config.mu0 if config.mu0 is not None else 0.3
+    schedule = solver.PiecewiseGeometric(
+        ScheduleParams(mu0=mu0, beta=config.beta, K0=config.K0, K_star=config.K_star)
+    )
+    errs = []
+    for j in range(config.c_prime):
+        b_star, _ = continuous_psgm_run(
+            problem, B0[:, j], schedule,
+            max_iters=config.max_iters, stop_tol=config.stop_tol,
         )
-        matrix = corrupt_with_outliers(base, r, corrupt_seed)
-        if method == "psgm":
-            basis = solver.psgm_multi(matrix, _solver_config(config, config.c_prime, solver_seed))
-        else:
-            c = config.rsgm_known_c if method == "rsgm_known" else config.c_prime
-            basis = rsgm.rsgm_run(
-                matrix, c, _schedule_from_config(config),
-                max_iters=config.max_iters, stop_tol=config.stop_tol,
-            )
-        row = _recovery_row(config, cell, method, trial, solver_seed, None, matrix, basis)
-    except Exception as e:  # noqa: BLE001
-        row = ResultRow(cell=cell, method=method, trial=trial, seed=solver_seed,
-                        report={}, wall_time=0.0, error=str(e))
-    return dataclasses.replace(row, wall_time=time.perf_counter() - t0)
+        ref = continuous_fixed_point(model, B0[:, j])
+        errs.append(float(np.arccos(np.clip(b_star @ ref, -1.0, 1.0))))
+    _, rank, spans = continuous_span_check(model, B0)
+    return {
+        "max_fixed_point_angle_error": max(errs),
+        "estimated_codim": int(rank),
+        "spans_complement": bool(spans),
+    }
 
 
-def _run_cell_continuous(config: ExperimentConfig, trial: int) -> ResultRow:
-    cell = {"trial_cell": trial}
-    model_seed, start_seed = cell_data_seeds(config, trial)
-    t0 = time.perf_counter()
-    try:
-        model = sample_haar_subspace(config.D, config.d, model_seed)
-        problem = ContinuousProblem(subspace=model, p=config.p)
-        rng = np.random.default_rng(start_seed)
-        B0 = unit_sphere_columns(rng, config.D, config.c_prime)
-        if config.p == 1.0:
-            report = {"tag": "every direction is fixed at p=1; span check skipped"}
-        else:
-            mu0 = config.mu0 if config.mu0 is not None else 0.3
-            schedule = solver.PiecewiseGeometric(
-                ScheduleParams(mu0=mu0, beta=config.beta, K0=config.K0, K_star=config.K_star)
-            )
-            errs = []
-            for j in range(config.c_prime):
-                b_star, _ = continuous_psgm_run(
-                    problem, B0[:, j], schedule,
-                    max_iters=config.max_iters, stop_tol=config.stop_tol,
-                )
-                ref = continuous_fixed_point(model, B0[:, j])
-                errs.append(float(np.arccos(np.clip(b_star @ ref, -1.0, 1.0))))
-            _, rank, spans = continuous_span_check(model, B0)
-            report = {
-                "max_fixed_point_angle_error": max(errs),
-                "estimated_codim": int(rank),
-                "spans_complement": bool(spans),
-            }
-        row = ResultRow(cell=cell, method="continuous", trial=trial,
-                        seed=start_seed, report=report, wall_time=0.0)
-    except Exception as e:  # noqa: BLE001
-        row = ResultRow(cell=cell, method="continuous", trial=trial, seed=start_seed,
-                        report={}, wall_time=0.0, error=str(e))
-    return dataclasses.replace(row, wall_time=time.perf_counter() - t0)
-
-
-def _execute(jobs, fn, workers: int) -> list[ResultRow]:
-    if workers <= 1:
-        return [fn(*j) for j in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, *zip(*jobs)))
-
-
-def run_phase_transition(config: ExperimentConfig) -> ResultTable:
-    if config.kind != "phase_transition":
-        raise ValueError("config.kind must be 'phase_transition'")
-    jobs = [
-        (config, N, M, method, trial)
-        for N in config.N_grid for M in config.M_grid
-        for method in config.methods for trial in range(config.trials)
-    ]
-    rows = _execute(jobs, _run_cell_phase, config.workers)
-    return ResultTable(kind=config.kind, rows=ResultTable(config.kind, rows).sorted_rows())
-
-
-def run_codim_sweep(config: ExperimentConfig) -> ResultTable:
-    if config.kind != "codim_sweep":
-        raise ValueError("config.kind must be 'codim_sweep'")
-    jobs = [
-        (config, c, r, trial)
-        for c in config.codim_grid for r in config.r_grid for trial in range(config.trials)
-    ]
-    rows = _execute(jobs, _run_cell_codim, config.workers)
-    return ResultTable(kind=config.kind, rows=ResultTable(config.kind, rows).sorted_rows())
-
-
-def run_outlier_pursuit(config: ExperimentConfig) -> ResultTable:
-    if config.kind != "outlier_pursuit":
-        raise ValueError("config.kind must be 'outlier_pursuit'")
-    jobs = [
-        (config, r, method, trial)
-        for r in config.r_grid for method in config.methods for trial in range(config.trials)
-    ]
-    rows = _execute(jobs, _run_cell_pursuit, config.workers)
-    return ResultTable(kind=config.kind, rows=ResultTable(config.kind, rows).sorted_rows())
-
-
-def run_continuous_check(config: ExperimentConfig) -> ResultTable:
-    if config.kind != "continuous_check":
-        raise ValueError("config.kind must be 'continuous_check'")
-    jobs = [(config, trial) for trial in range(config.trials)]
-    rows = _execute(jobs, _run_cell_continuous, config.workers)
-    return ResultTable(kind=config.kind, rows=ResultTable(config.kind, rows).sorted_rows())
-
-
-_RUNNERS = {
-    "phase_transition": run_phase_transition,
-    "codim_sweep": run_codim_sweep,
-    "outlier_pursuit": run_outlier_pursuit,
-    "continuous_check": run_continuous_check,
+_REPORTS = {
+    "phase_transition": _phase_report,
+    "codim_sweep": _codim_report,
+    "outlier_pursuit": _pursuit_report,
+    "continuous_check": _continuous_report,
 }
 
 
+def _run_cell(config: ExperimentConfig, cell: dict, method: str, trial: int,
+              seed: int) -> ResultRow:
+    t0 = time.perf_counter()
+    try:
+        report, error = _REPORTS[config.kind](config, cell, method, trial, seed), None
+    except Exception as e:  # noqa: BLE001 - a failed cell must not sink the grid
+        report, error = {}, str(e)
+    return ResultRow(cell=cell, method=method, trial=trial, seed=seed, report=report,
+                     wall_time=time.perf_counter() - t0, error=error)
+
+
+def _jobs(config: ExperimentConfig) -> list[tuple]:
+    """(config, cell, method, trial, seed) per row. The seed is the solver's,
+    derived from the cell values, trial and method, or for a continuous check
+    the seed of the trial's starts."""
+    k, trials = config.kind, range(config.trials)
+    if k == "continuous_check":
+        return [(config, {"trial_cell": t}, "continuous", t, cell_data_seeds(config, t)[1])
+                for t in trials]
+    if k == "phase_transition":
+        cells = [({"N": N, "M": M}, m) for N in config.N_grid for M in config.M_grid
+                 for m in config.methods]
+    elif k == "codim_sweep":
+        cells = [({"c": c, "r": r}, "psgm") for c in config.codim_grid for r in config.r_grid]
+    else:
+        cells = [({"r": r}, m) for r in config.r_grid for m in config.methods]
+    return [(config, dict(cell), m, t, derive_seed(config.seed, k, *cell.values(), t, m, "solver"))
+            for cell, m in cells for t in trials]
+
+
+def _execute(jobs, workers: int) -> list[ResultRow]:
+    if workers <= 1:
+        return [_run_cell(*j) for j in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(_run_cell, *zip(*jobs)))
+
+
 def run_experiment(config: ExperimentConfig) -> ResultTable:
-    return _RUNNERS[config.kind](config)
+    """Run every (cell, method, trial) of the grid; a failed cell becomes an error row."""
+    rows = _execute(_jobs(config), config.workers)
+    return ResultTable(kind=config.kind, rows=ResultTable(config.kind, rows).sorted_rows())
 
 
 def exact_recovery_rates(table: ResultTable) -> dict[tuple, float]:

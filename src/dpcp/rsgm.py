@@ -13,14 +13,13 @@ mode is exactly what the unconstrained pursuit avoids.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import max_subspace_angle
 from .dataset import DataMatrix, SubspaceModel
-from .solver import MBLS, PiecewiseGeometric, StepSchedule, Trace, step_size
+from .solver import StepSchedule, Trace, descend, resolve_step
 
 _ORTHO_TOL = 1e-8
 
@@ -107,63 +106,26 @@ def rsgm_run(
     A = matrix.points
     B = np.asarray(spectral_init(matrix, c_prime).columns)
     notes: list[str] = []
+    k = -1
 
-    f, S = _group_objective(A, B)
-    if isinstance(schedule, PiecewiseGeometric) and schedule.params.mu0 is None:
-        G0 = _riemannian_subgradient(A, B, S)
-        gn2 = float(np.sum(G0 * G0))
-        mu0 = f / gn2 if gn2 > 0 else 1.0
-        schedule = PiecewiseGeometric(dataclasses.replace(schedule.params, mu0=mu0))
-    mu_ls = None
-    if isinstance(schedule, MBLS):
-        if schedule.mu_init is not None:
-            mu_ls = schedule.mu_init
-        else:
-            G0 = _riemannian_subgradient(A, B, S)
-            gn2 = float(np.sum(G0 * G0))
-            mu_ls = f / gn2 if gn2 > 0 else 1.0
-
-    objs: list[float] = []
-    steps: list[float] = []
-    angles: list[float] | None = [] if model is not None else None
-
-    def record(fval, Bcur):
-        objs.append(fval)
-        if angles is not None:
-            angles.append(max_subspace_angle(Bcur, model.basis_Sperp))
-
-    for k in range(max_iters):
+    def auto_mu():
         f, S = _group_objective(A, B)
         G = _riemannian_subgradient(A, B, S)
-        record(f, B)
-        if isinstance(schedule, MBLS):
-            gn2 = float(np.sum(G * G))
-            mu = mu_ls
-            n_back = 0
-            while True:
-                cand = _polar_retract(B - mu * G, notes, k)
-                fc, _ = _group_objective(A, cand)
-                if fc <= f - schedule.alpha * mu * gn2 or n_back >= schedule.max_backtracks:
-                    break
-                mu *= schedule.shrink
-                n_back += 1
-            B_new, mu_used = cand, mu
-            mu_ls = mu * schedule.grow
-        else:
-            mu_used = step_size(schedule, k)
-            B_new = _polar_retract(B - mu_used * G, notes, k)
-        steps.append(mu_used)
-        movement = float(np.linalg.norm(B_new - B))
-        B = B_new
-        if movement < stop_tol:
-            break
+        gn2 = float(np.sum(G * G))
+        return f / gn2 if gn2 > 0 else 1.0
 
-    f, _ = _group_objective(A, B)
-    record(f, B)
-    trace = Trace(
-        objective=np.asarray(objs),
-        step=np.asarray(steps),
-        angle=np.asarray(angles) if angles is not None else None,
-        notes=tuple(notes),
+    def grad(X, S):
+        nonlocal k
+        k += 1  # one subgradient per iteration, so k numbers the step being retracted
+        return _riemannian_subgradient(A, X, S)
+
+    B, trace = descend(
+        B, lambda X: _group_objective(A, X), grad,
+        lambda C: _polar_retract(C, notes, k),
+        lambda X, Y: float(np.linalg.norm(Y - X)),
+        lambda G: float(np.sum(G * G)),
+        resolve_step(schedule, auto_mu), max_iters, stop_tol,
+        angle=(lambda X: max_subspace_angle(X, model.basis_Sperp)) if model is not None else None,
     )
+    trace.notes = tuple(notes)
     return OrthoBasis(columns=B, trace=trace)

@@ -14,11 +14,13 @@ line search (MBLS) that accepts a step only on sufficient decrease.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import _basis_array
 from .dataset import DataMatrix, SubspaceModel, unit_sphere_columns
 from .geometry import GeometryStats, ScheduleParams, mu_prime
 
@@ -116,6 +118,9 @@ class Trace:
     iterate k (length K); angle[k] = principal angle of iterate k from the
     known complement, when a model was supplied; iterates rows are the b-hat
     sequence when recorded; backtracks counts MBLS rejections per iteration.
+    stop_reason is "converged" (the last step moved less than stop_tol),
+    "backtracks_exhausted" (so did the last step, but it failed the MBLS
+    descent test), "max_iters" or "stationary" (no descent direction left).
     """
 
     objective: np.ndarray
@@ -124,6 +129,7 @@ class Trace:
     iterates: np.ndarray | None = None
     backtracks: np.ndarray | None = None
     notes: tuple[str, ...] = ()
+    stop_reason: str | None = None
 
     @property
     def n_iterations(self) -> int:
@@ -166,12 +172,6 @@ class DualBasis:
     @property
     def n_instances(self) -> int:
         return self.columns.shape[1]
-
-
-def _basis_array(basis) -> np.ndarray:
-    B = getattr(basis, "columns", basis)
-    B = np.asarray(B, dtype=float)
-    return B[:, None] if B.ndim == 1 else B
 
 
 def objective(matrix: DataMatrix, basis) -> float:
@@ -221,17 +221,113 @@ def default_mu0(matrix: DataMatrix, b0: np.ndarray, stats: GeometryStats | None 
     return mu
 
 
-def _resolve_schedule(matrix, b0, schedule, stats, instance):
-    """Fill in any auto (None) initial step for this instance."""
-    if isinstance(schedule, PiecewiseGeometric):
-        mu0 = schedule.params.mu0_for(instance)
-        if mu0 is None:
-            mu0 = default_mu0(matrix, b0, stats)
-        return PiecewiseGeometric(dataclasses.replace(schedule.params, mu0=mu0)), None
+def resolve_step(schedule: StepSchedule, auto_mu):
+    """Step rule for descend: an MBLS with a numeric first trial step, or a
+    function k -> mu. auto_mu() supplies the automatic first step when the
+    schedule leaves it open."""
     if isinstance(schedule, MBLS):
-        mu = schedule.mu_init if schedule.mu_init is not None else default_mu0(matrix, b0, stats)
-        return schedule, mu
-    return schedule, None
+        if schedule.mu_init is None:
+            schedule = dataclasses.replace(schedule, mu_init=auto_mu())
+        return schedule
+    if isinstance(schedule, PiecewiseGeometric) and schedule.params.mu0_for(0) is None:
+        schedule = PiecewiseGeometric(dataclasses.replace(schedule.params, mu0=auto_mu()))
+    return functools.partial(step_size, schedule)
+
+
+def sphere_retract(c: np.ndarray) -> np.ndarray | None:
+    """Normalize back onto the unit sphere; None when the step hit zero."""
+    nc = np.linalg.norm(c)
+    return c / nc if nc > 0 else None
+
+
+def sphere_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Arc length between unit vectors."""
+    return math.acos(min(max(float(x @ y), -1.0), 1.0))
+
+
+def sphere_sqnorm(g: np.ndarray) -> float:
+    """||g||^2 as the MBLS descent test of the sphere methods computes it."""
+    return float(g @ g)
+
+
+def descend(x0, value, grad, retract, distance, sqnorm, step, max_iters, stop_tol,
+            angle=None, record_iterates=False) -> tuple[np.ndarray, Trace]:
+    """The projected subgradient loop x <- retract(x - mu g) behind every method.
+
+    value(x) returns (f, aux) and grad(x, aux) the subgradient at x, or None
+    at a stationary point. retract(c) maps a step back onto the feasible set,
+    or returns None for a degenerate step, which raises ValueError. step is
+    an MBLS with a numeric mu_init, whose accepted candidate's value is reused
+    as the next iterate's, or a function k -> mu; sqnorm(g) is the ||g||^2 of
+    the MBLS descent test, passed in because each method rounds it its own
+    way and the accept decisions depend on those bits. The run stops when
+    distance(x, x_new) < stop_tol or after max_iters steps. angle(x), when
+    given, is recorded for every iterate.
+    """
+    mbls = isinstance(step, MBLS)
+    mu_ls = step.mu_init if mbls else None
+    x = x0
+    f, aux = value(x)
+    objs: list[float] = []
+    steps: list[float] = []
+    backs: list[int] = []
+    angles: list[float] | None = [] if angle is not None else None
+    iterates: list[np.ndarray] | None = [] if record_iterates else None
+
+    def record():
+        objs.append(f)
+        if angles is not None:
+            angles.append(angle(x))
+        if iterates is not None:
+            iterates.append(x.copy())
+
+    record()
+    stop_reason = "max_iters"
+    for k in range(max_iters):
+        g = grad(x, aux)
+        if g is None:
+            stop_reason = "stationary"
+            break
+        if mbls:
+            gn2 = sqnorm(g)
+            mu = mu_ls
+            n_back = 0
+            while True:
+                cand = retract(x - mu * g)
+                descent = False
+                if cand is not None:
+                    f_new, aux_new = value(cand)
+                    descent = f_new <= f - step.alpha * mu * gn2
+                if descent or n_back >= step.max_backtracks:
+                    break
+                mu *= step.shrink
+                n_back += 1
+            mu_ls = mu * step.grow
+            backs.append(n_back)
+        else:
+            mu = step(k)
+            cand = retract(x - mu * g)
+        if cand is None:
+            raise ValueError("degenerate step: update collapsed to the zero vector")
+        if not mbls:
+            f_new, aux_new = value(cand)
+        steps.append(mu)
+        movement = distance(x, cand)
+        x, f, aux = cand, f_new, aux_new
+        record()
+        if movement < stop_tol:
+            stop_reason = "backtracks_exhausted" if mbls and not descent else "converged"
+            break
+
+    trace = Trace(
+        objective=np.asarray(objs),
+        step=np.asarray(steps),
+        angle=np.asarray(angles) if angles is not None else None,
+        iterates=np.asarray(iterates) if iterates is not None else None,
+        backtracks=np.asarray(backs, dtype=int) if mbls else None,
+        stop_reason=stop_reason,
+    )
+    return x, trace
 
 
 def psgm_single(
@@ -255,85 +351,22 @@ def psgm_single(
     if abs(nb - 1.0) > _UNIT_TOL:
         raise ValueError("b0 must have unit norm")
     b /= nb
-
-    schedule, mu_ls = _resolve_schedule(matrix, b, config.schedule, stats, 0)
-    is_mbls = isinstance(schedule, MBLS)
     zz = config.sgn_zero_is_zero
 
-    objs: list[float] = []
-    steps: list[float] = []
-    backs: list[int] = []
-    angles: list[float] | None = [] if model is not None else None
-    iters: list[np.ndarray] | None = [b.copy()] if config.record_iterates else None
+    def value(x):
+        s = A.T @ x
+        return float(np.abs(s).sum()), s
 
-    def record_state(f):
-        objs.append(f)
-        if angles is not None:
-            h = np.linalg.norm(model.basis_Sperp.T @ b)
-            angles.append(float(np.arccos(min(max(h, -1.0), 1.0))))
+    def angle(x):
+        h = np.linalg.norm(model.basis_Sperp.T @ x)
+        return float(np.arccos(min(max(h, -1.0), 1.0)))
 
-    for k in range(config.max_iters):
-        s = A.T @ b
-        f = float(np.abs(s).sum())
-        g = A @ _sgn(s, zz)
-        record_state(f)
-
-        if is_mbls:
-            gn2 = float(g @ g)
-            mu = mu_ls
-            n_back = 0
-            accepted = None
-            while True:
-                c = b - mu * g
-                nc = np.linalg.norm(c)
-                ok = False
-                if nc > 0:
-                    cand = c / nc
-                    fc = float(np.abs(A.T @ cand).sum())
-                    ok = fc <= f - schedule.alpha * mu * gn2
-                if ok or n_back >= schedule.max_backtracks:
-                    if nc == 0:
-                        raise ValueError(
-                            "degenerate step: update collapsed to the zero vector"
-                        )
-                    accepted = (cand, mu)
-                    break
-                mu *= schedule.shrink
-                n_back += 1
-            b_new, mu_used = accepted
-            mu_ls = mu_used * schedule.grow
-            backs.append(n_back)
-        else:
-            mu_used = step_size(schedule, k)
-            c = b - mu_used * g
-            nc = np.linalg.norm(c)
-            tries = 0
-            while nc == 0.0 and tries < 50:
-                mu_used *= 0.5
-                c = b - mu_used * g
-                nc = np.linalg.norm(c)
-                tries += 1
-            if nc == 0.0:
-                raise ValueError("degenerate step: update collapsed to the zero vector")
-            b_new = c / nc
-
-        steps.append(mu_used)
-        movement = math.acos(min(max(float(b @ b_new), -1.0), 1.0))
-        b = b_new
-        if iters is not None:
-            iters.append(b.copy())
-        if movement < config.stop_tol:
-            break
-
-    record_state(objective(matrix, b))
-    trace = Trace(
-        objective=np.asarray(objs),
-        step=np.asarray(steps),
-        angle=np.asarray(angles) if angles is not None else None,
-        iterates=np.asarray(iters) if iters is not None else None,
-        backtracks=np.asarray(backs, dtype=int) if is_mbls else None,
+    return descend(
+        b, value, lambda x, s: A @ _sgn(s, zz), sphere_retract, sphere_distance, sphere_sqnorm,
+        resolve_step(config.schedule, lambda: default_mu0(matrix, b, stats)),
+        config.max_iters, config.stop_tol,
+        angle=angle if model is not None else None, record_iterates=config.record_iterates,
     )
-    return b, trace
 
 
 def psgm_multi(

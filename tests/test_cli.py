@@ -1,10 +1,14 @@
 """End-to-end command line checks, run in-process through dispatch()."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dpcp
 from dpcp import cli, geometry, harness
 from dpcp.dataset import load_csv
 from dpcp.serialize import to_json
@@ -168,3 +172,16 @@ def test_dispatch_usage_and_runtime_exit_codes(dataset, capsys):
                             "--schedule", "const"], capsys)
     assert code == 2
     assert "needs a numeric --mu0" in err
+
+
+def test_module_entry_point_runs_a_command(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpcp.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "d.csv"
+    proc = subprocess.run([sys.executable, "-m", "dpcp.cli", "gen", "--D", "4", "--d", "2",
+                           "--N", "10", "--M", "5", "--seed", "1", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("seed=1")
+    assert load_csv(str(out)).n_points == 15

@@ -101,6 +101,15 @@ def test_run_start_in_complement_returns_immediately():
     assert len(trace.objective) == 1
 
 
+def test_run_stop_reasons():
+    pr = _problem(seed=10)
+    _, trace = continuous_psgm_run(pr, pr.subspace.basis_Sperp[:, 0], Constant(0.1))
+    assert trace.stop_reason == "stationary"
+    b0 = rand_unit(np.random.default_rng(4), 8)
+    _, trace = continuous_psgm_run(pr, b0, Constant(0.05), max_iters=5)
+    assert trace.stop_reason == "max_iters"
+
+
 def test_run_rejections():
     pr = _problem(seed=11)
     with pytest.raises(ValueError, match="measure-zero"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -165,6 +166,16 @@ def test_run_continuous_check_smoke():
     tagged = run_experiment(ExperimentConfig(kind="continuous_check", D=4, d=2,
                                              p=1.0, c_prime=2, trials=1, seed=1))
     assert "tag" in tagged.rows[0].report
+
+
+def test_worker_pool_writes_the_same_table(tmp_path):
+    cfg = ExperimentConfig(kind="codim_sweep", D=8, N=60, codim_grid=(2, 3),
+                           r_grid=(0.2, 0.4), c_prime=4, trials=1, seed=13,
+                           max_iters=100)
+    for workers in (1, 2):
+        persist(run_experiment(dataclasses.replace(cfg, workers=workers)),
+                tmp_path / f"w{workers}.csv")
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
 
 def _tiny_table():

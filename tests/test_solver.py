@@ -179,6 +179,29 @@ def test_psgm_single_validation_and_early_stop():
     assert trace.n_iterations == 1  # first movement is below stop_tol
 
 
+def test_degenerate_constant_step_raises():
+    # b - mu g = e1 - e1 = 0: no direction is left to normalize
+    data = DataMatrix(points=np.array([[1.0], [0.0]]))
+    with pytest.raises(ValueError, match="degenerate step"):
+        psgm_single(data, np.array([1.0, 0.0]), SolverConfig(schedule=Constant(1.0)))
+
+
+def test_trace_stop_reason():
+    data = _line_dataset(20)
+    b0 = np.array([0.6, 0.8])
+    sched = PiecewiseGeometric(ScheduleParams(mu0=0.01, beta=0.5, K0=5, K_star=5))
+    _, capped = psgm_single(data, b0, SolverConfig(schedule=sched, max_iters=3, stop_tol=0.0))
+    assert capped.stop_reason == "max_iters" and capped.n_iterations == 3
+    _, done = psgm_single(data, b0, SolverConfig(schedule=sched, max_iters=400, stop_tol=1e-12))
+    assert done.stop_reason == "converged" and done.n_iterations < 400
+    # one backtrack cannot rescue a huge first step; a loose stop_tol then
+    # ends the run on a step that failed the descent test
+    greedy = MBLS(mu_init=1e6, max_backtracks=1)
+    _, failed = psgm_single(data, b0, SolverConfig(schedule=greedy, stop_tol=4.0))
+    assert failed.stop_reason == "backtracks_exhausted"
+    assert failed.objective[1] > failed.objective[0]
+
+
 def test_psgm_multi_prefix_and_reproducibility():
     model = sample_haar_subspace(6, 4, seed=7)
     data = generate_dataset(model, N=100, M=40, seed=8)
