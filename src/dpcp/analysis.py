@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix, INLIER, OUTLIER, SubspaceModel
-from .serialize import to_json  # noqa: F401  (re-exported for report consumers)
 
 _GAP_FACTOR = 10.0
 _RANK_EPS = 1e-8

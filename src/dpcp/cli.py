@@ -19,6 +19,7 @@ from .dataset import (
     sample_haar_subspace,
     save_csv,
     DataMatrix,
+    SubspaceModel,
 )
 from .serialize import to_json, to_kv
 
@@ -29,22 +30,20 @@ def _resolve_seed(value) -> int:
     return int(value)
 
 
+def _mu0_or_auto(text: str) -> float | None:
+    try:
+        return None if text == "auto" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
+
+
 def _schedule_from_args(args) -> solver.StepSchedule:
-    mu0 = None if args.mu0 in (None, "auto") else float(args.mu0)
-    if args.schedule == "const":
-        if mu0 is None:
-            raise ValueError("schedule 'const' needs a numeric --mu0")
-        return solver.Constant(mu0)
-    if args.schedule == "pgd":
-        return solver.PiecewiseGeometric(
-            geometry.ScheduleParams(mu0=mu0, beta=args.beta, K0=args.K0, K_star=args.K_star)
-        )
-    return solver.MBLS(mu_init=mu0)
+    return solver.schedule_from(args.schedule, args.mu0, args.beta, args.K0, args.K_star)
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schedule", choices=["const", "pgd", "mbls"], default="mbls")
-    p.add_argument("--mu0", default="auto", help="initial step, or 'auto'")
+    p.add_argument("--mu0", type=_mu0_or_auto, default="auto", help="initial step, or 'auto'")
     p.add_argument("--beta", type=float, default=0.6)
     p.add_argument("--K0", type=int, default=30)
     p.add_argument("--Kstar", dest="K_star", type=int, default=10)
@@ -121,12 +120,6 @@ def _estimate_model(matrix: DataMatrix, d: int | None):
         d = int(np.sum(s > 1e-8 * s[0]))
     if not 1 <= d < matrix.ambient_dim:
         raise ValueError(f"invalid inlier dimension {d}")
-    return sample_model_from_basis(u, d)
-
-
-def sample_model_from_basis(u: np.ndarray, d: int):
-    from .dataset import SubspaceModel
-
     return SubspaceModel(basis_S=u[:, :d], basis_Sperp=u[:, d:])
 
 
@@ -169,9 +162,7 @@ def _cmd_theory(args) -> int:
         stats = geometry.estimate_stats(matrix, model, seed=_resolve_seed(args.seed))
         mask = matrix.inlier_mask()
         N, M = int(mask.sum()), int((~mask).sum())
-    mu0 = None if args.mu0 in (None, "auto") else float(args.mu0)
-    if mu0 is None:
-        mu0 = geometry.mu_prime(stats, N, M)
+    mu0 = args.mu0 if args.mu0 is not None else geometry.mu_prime(stats, N, M)
     schedule = geometry.ScheduleParams(mu0=mu0, beta=args.beta, K0=args.K0, K_star=args.K_star)
     try:
         report = geometry.theory_report(
@@ -196,7 +187,7 @@ def _cmd_continuous(args) -> int:
         kind="continuous_check", D=args.D, d=args.d, p=args.p, c_prime=args.cprime,
         trials=args.trials, seed=seed, max_iters=args.max_iters,
         beta=args.beta, K0=args.K0, K_star=args.K_star,
-        mu0=None if args.mu0 in (None, "auto") else float(args.mu0),
+        mu0=args.mu0,
         stop_tol=args.stop_tol, workers=args.workers,
     )
     table = harness.run_experiment(config)
@@ -298,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--cprime", type=int, required=True)
     p.add_argument("--theta0", type=float, default=0.0)
-    p.add_argument("--mu0", default="auto")
+    p.add_argument("--mu0", type=_mu0_or_auto, default="auto")
     p.add_argument("--beta", type=float, default=0.6)
     p.add_argument("--K0", type=int, default=30)
     p.add_argument("--Kstar", dest="K_star", type=int, default=10)
@@ -317,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--mu0", default="auto")
+    p.add_argument("--mu0", type=_mu0_or_auto, default="auto")
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--K0", type=int, default=50)
     p.add_argument("--Kstar", dest="K_star", type=int, default=5)

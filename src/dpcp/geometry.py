@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix, SubspaceModel, unit_sphere_columns
-from .serialize import to_json, to_kv  # noqa: F401  (re-exported for report consumers)
 
 
 def hemisphere_height(k: int) -> float:
@@ -151,28 +150,28 @@ def _columns(points) -> np.ndarray:
     return a
 
 
-def _refine_mean_abs(W, b0, maximize, n_iters, tol):
-    # projected subgradient on b -> mean|W^T b| with decaying normalized steps,
-    # tracking the best value seen
-    n = W.shape[1]
+def _refine(fg, b0, sign, n_iters, tol):
+    # projected subgradient ascent (sign=1) or descent (sign=-1) of f from b0
+    # with decaying normalized steps; fg(b) returns (f, g), g=None at a
+    # stationary point. Returns the best f seen.
     b = b0.copy()
-    best = float(np.abs(W.T @ b).mean())
-    sgn = 1.0 if maximize else -1.0
+    best, g = fg(b)
     mu = 0.2
     decay = (max(tol, 1e-10) / mu) ** (1.0 / max(n_iters - 1, 1))
     for _ in range(n_iters):
-        g = W @ np.sign(W.T @ b) / n
+        if g is None:
+            break
         gt = g - (g @ b) * b
         ng = np.linalg.norm(gt)
         if ng < 1e-16:
             break
-        b = b + sgn * mu * gt / ng
+        b = b + sign * mu * gt / ng
         b /= np.linalg.norm(b)
-        f = float(np.abs(W.T @ b).mean())
-        if (maximize and f > best) or (not maximize and f < best):
+        f, g = fg(b)
+        if sign * f > sign * best:
             best = f
         mu *= decay
-    return best, mu
+    return best
 
 
 def estimate_extremal_average(
@@ -196,19 +195,23 @@ def estimate_extremal_average(
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     A = _columns(points)
     W = restrict_to_subspace.basis_S.T @ A if restrict_to_subspace is not None else A
-    dim = W.shape[0]
+    dim, n = W.shape
+
+    def fg(b):
+        s = W.T @ b
+        return float(np.abs(s).mean()), W @ np.sign(s) / n
+
     rng = np.random.default_rng(seed)
     probes = unit_sphere_columns(rng, dim, n_samples)
     vals = np.abs(W.T @ probes).mean(axis=0)
     order = np.argsort(vals)
     if mode == "max":
         order = order[::-1]
-    best = float(vals[order[0]])
-    for j in order[: max(n_restarts, 1)]:
-        f, _ = _refine_mean_abs(W, probes[:, j].copy(), mode == "max", refine_iters, tol)
-        if (mode == "max" and f > best) or (mode == "min" and f < best):
-            best = f
-    return best
+    sign = 1.0 if mode == "max" else -1.0
+    return (max if mode == "max" else min)(
+        [float(vals[order[0]])]
+        + [_refine(fg, probes[:, j], sign, refine_iters, tol) for j in order[: max(n_restarts, 1)]]
+    )
 
 
 def estimate_eta(
@@ -232,10 +235,11 @@ def estimate_eta(
     def proj(V):
         return S @ (S.T @ V) if S is not None else V
 
-    def value(b):
+    def fg(b):
         w = A @ np.sign(A.T @ b) / n
         u = proj(w) - (b @ w) * b
-        return float(np.linalg.norm(u)), w, u
+        hb = float(np.linalg.norm(u))
+        return hb, None if hb < 1e-18 else (-(u @ b) * w - (b @ w) * u) / hb
 
     rng = np.random.default_rng(seed)
     B = unit_sphere_columns(rng, A.shape[0], n_samples)
@@ -243,29 +247,8 @@ def estimate_eta(
     U = proj(W) - B * np.einsum("ij,ij->j", B, W)
     h = np.linalg.norm(U, axis=0)
     order = np.argsort(h)[::-1]
-    best = float(h[order[0]])
-    for j in order[: max(n_restarts, 1)]:
-        b = B[:, j].copy()
-        mu = 0.2
-        decay = (max(tol, 1e-10) / mu) ** (1.0 / max(refine_iters - 1, 1))
-        for _ in range(refine_iters):
-            hb, w, u = value(b)
-            if hb > best:
-                best = hb
-            if hb < 1e-18:
-                break
-            g = (-(u @ b) * w - (b @ w) * u) / hb
-            gt = g - (g @ b) * b
-            ng = np.linalg.norm(gt)
-            if ng < 1e-16:
-                break
-            b = b + mu * gt / ng
-            b /= np.linalg.norm(b)
-            mu *= decay
-        hb, _, _ = value(b)
-        if hb > best:
-            best = hb
-    return best
+    return max([float(h[order[0]])] + [_refine(fg, B[:, j], 1.0, refine_iters, tol)
+                                       for j in order[: max(n_restarts, 1)]])
 
 
 def estimate_stats(

@@ -39,10 +39,15 @@ from .dataset import (
     sample_haar_subspace,
     unit_sphere_columns,
 )
-from .geometry import ScheduleParams
 from .serialize import as_plain
 
-KINDS = ("phase_transition", "codim_sweep", "outlier_pursuit", "continuous_check")
+# the cell keys of each kind's rows, in the order the solver seed hashes them
+CELL_KEYS = {
+    "phase_transition": ("N", "M"),
+    "codim_sweep": ("c", "r"),
+    "outlier_pursuit": ("r",),
+    "continuous_check": ("trial_cell",),
+}
 _PHASE_METHODS = ("psgm", "rsgm", "rsgm_over")
 _PURSUIT_METHODS = ("psgm", "rsgm", "rsgm_known")
 
@@ -86,7 +91,7 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in CELL_KEYS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.D < 2 or self.trials < 1 or self.c_prime < 1 or self.workers < 1:
             raise ValueError("invalid config: D >= 2, trials >= 1, c_prime >= 1, workers >= 1")
@@ -197,15 +202,8 @@ def _flatten_report(rep: analysis.RecoveryReport) -> dict:
 
 
 def _schedule_from_config(config: ExperimentConfig) -> solver.StepSchedule:
-    if config.schedule_kind == "const":
-        if config.mu0 is None:
-            raise ValueError("constant schedule needs a numeric mu0")
-        return solver.Constant(config.mu0)
-    if config.schedule_kind == "pgd":
-        return solver.PiecewiseGeometric(
-            ScheduleParams(mu0=config.mu0, beta=config.beta, K0=config.K0, K_star=config.K_star)
-        )
-    return solver.MBLS(mu_init=config.mu0)
+    return solver.schedule_from(config.schedule_kind, config.mu0, config.beta, config.K0,
+                                config.K_star)
 
 
 def _solver_config(config: ExperimentConfig, seed: int) -> solver.SolverConfig:
@@ -318,10 +316,8 @@ def _continuous_report(config: ExperimentConfig, cell: dict, method: str, trial:
     B0 = unit_sphere_columns(np.random.default_rng(seed), config.D, config.c_prime)
     if config.p == 1.0:
         return {"tag": "every direction is fixed at p=1; span check skipped"}
-    mu0 = config.mu0 if config.mu0 is not None else 0.3
-    schedule = solver.PiecewiseGeometric(
-        ScheduleParams(mu0=mu0, beta=config.beta, K0=config.K0, K_star=config.K_star)
-    )
+    schedule = solver.schedule_from("pgd", 0.3 if config.mu0 is None else config.mu0,
+                                    config.beta, config.K0, config.K_star)
     errs = []
     for j in range(config.c_prime):
         b_star, _ = continuous_psgm_run(
@@ -363,17 +359,17 @@ def _jobs(config: ExperimentConfig) -> list[tuple]:
     the seed of the trial's starts."""
     k, trials = config.kind, range(config.trials)
     if k == "continuous_check":
-        return [(config, {"trial_cell": t}, "continuous", t, cell_data_seeds(config, t)[1])
-                for t in trials]
+        return [(config, dict(zip(CELL_KEYS[k], (t,))), "continuous", t,
+                 cell_data_seeds(config, t)[1]) for t in trials]
     if k == "phase_transition":
-        cells = [({"N": N, "M": M}, m) for N in config.N_grid for M in config.M_grid
-                 for m in config.methods]
+        cells = [((N, M), m) for N in config.N_grid for M in config.M_grid for m in config.methods]
     elif k == "codim_sweep":
-        cells = [({"c": c, "r": r}, "psgm") for c in config.codim_grid for r in config.r_grid]
+        cells = [((c, r), "psgm") for c in config.codim_grid for r in config.r_grid]
     else:
-        cells = [({"r": r}, m) for r in config.r_grid for m in config.methods]
-    return [(config, dict(cell), m, t, derive_seed(config.seed, k, *cell.values(), t, m, "solver"))
-            for cell, m in cells for t in trials]
+        cells = [((r,), m) for r in config.r_grid for m in config.methods]
+    return [(config, dict(zip(CELL_KEYS[k], vals)), m, t,
+             derive_seed(config.seed, k, *vals, t, m, "solver"))
+            for vals, m in cells for t in trials]
 
 
 def _execute(jobs, workers: int) -> list[ResultRow]:
@@ -472,26 +468,20 @@ def load_results(path: str, fmt: str | None = None) -> ResultTable:
         with open(path, newline="") as fh:
             reader = _csv.reader(fh)
             header = next(reader)
-            cell_keys = [h[5:] for h in header if h.startswith("cell_")]
+            cell_keys = {h[5:] for h in header if h.startswith("cell_")}
+            kind = next((k for k, keys in CELL_KEYS.items() if set(keys) == cell_keys), None)
+            if kind is None:
+                raise ValueError(f"cell columns {sorted(cell_keys)} name no table kind")
             rows = []
             for rec in reader:
                 m = dict(zip(header, rec))
-                cell = {k: _decode_cell_value(m[f"cell_{k}"]) for k in cell_keys if m[f"cell_{k}"]}
+                cell = {k: _decode_cell_value(m[f"cell_{k}"])
+                        for k in CELL_KEYS[kind] if m[f"cell_{k}"]}
                 rows.append(ResultRow(
                     cell=cell, method=m["method"], trial=int(m["trial"]), seed=int(m["seed"]),
                     report=json.loads(m["report"]), wall_time=float(m["wall_time"]),
                     error=m["error"] or None,
                 ))
-        # kind is not stored in the CSV; infer from the cell schema
-        kind = "phase_transition"
-        if rows:
-            keys = set(rows[0].cell)
-            if keys == {"c", "r"}:
-                kind = "codim_sweep"
-            elif keys == {"r"}:
-                kind = "outlier_pursuit"
-            elif keys == {"trial_cell"}:
-                kind = "continuous_check"
         return ResultTable(kind=kind, rows=rows)
     if fmt == "json":
         with open(path) as fh:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import max_subspace_angle
 from .dataset import DataMatrix, SubspaceModel
-from .solver import StepSchedule, Trace, descend, resolve_step
+from .solver import StepSchedule, Trace, descend
 
 _ORTHO_TOL = 1e-8
 
@@ -108,12 +108,6 @@ def rsgm_run(
     notes: list[str] = []
     k = -1
 
-    def auto_mu():
-        f, S = _group_objective(A, B)
-        G = _riemannian_subgradient(A, B, S)
-        gn2 = float(np.sum(G * G))
-        return f / gn2 if gn2 > 0 else 1.0
-
     def grad(X, S):
         nonlocal k
         k += 1  # one subgradient per iteration, so k numbers the step being retracted
@@ -124,7 +118,7 @@ def rsgm_run(
         lambda C: _polar_retract(C, notes, k),
         lambda X, Y: float(np.linalg.norm(Y - X)),
         lambda G: float(np.sum(G * G)),
-        resolve_step(schedule, auto_mu), max_iters, stop_tol,
+        schedule, max_iters, stop_tol,
         angle=(lambda X: max_subspace_angle(X, model.basis_Sperp)) if model is not None else None,
     )
     trace.notes = tuple(notes)

@@ -100,7 +100,6 @@ class SolverConfig:
     stop_tol: float = 1e-8
     schedule: StepSchedule = field(default_factory=MBLS)
     seed: int = 0
-    sgn_zero_is_zero: bool = True
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -184,10 +183,6 @@ def objective(matrix: DataMatrix, basis) -> float:
     return float(np.abs(matrix.points.T @ B).sum())
 
 
-def _sgn(s: np.ndarray, zero_is_zero: bool) -> np.ndarray:
-    return np.sign(s) if zero_is_zero else np.where(s >= 0, 1.0, -1.0)
-
-
 def subgradient(matrix: DataMatrix, b: np.ndarray, sgn_zero_is_zero: bool = True) -> np.ndarray:
     """g = A sgn(A^T b) for unit b; the zero-crossing rows contribute zero by default."""
     b = np.asarray(b, dtype=float)
@@ -195,7 +190,8 @@ def subgradient(matrix: DataMatrix, b: np.ndarray, sgn_zero_is_zero: bool = True
         raise ValueError("b must be a vector matching the ambient dimension")
     if abs(np.linalg.norm(b) - 1.0) > _UNIT_TOL:
         raise ValueError("b must have unit norm")
-    return matrix.points @ _sgn(matrix.points.T @ b, sgn_zero_is_zero)
+    s = matrix.points.T @ b
+    return matrix.points @ (np.sign(s) if sgn_zero_is_zero else np.where(s >= 0, 1.0, -1.0))
 
 
 def average_terms(matrix: DataMatrix, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,16 +217,27 @@ def default_mu0(matrix: DataMatrix, b0: np.ndarray, stats: GeometryStats | None 
     return mu
 
 
-def resolve_step(schedule: StepSchedule, auto_mu):
+def schedule_from(kind: str, mu0: float | None, beta: float, K0: int, K_star: int) -> StepSchedule:
+    """The step schedule named kind ("const", "pgd" or "mbls"). mu0=None leaves
+    the first step to descend, which a constant schedule does not allow."""
+    if kind == "const":
+        if mu0 is None:
+            raise ValueError("schedule 'const' needs a numeric --mu0 (config field mu0)")
+        return Constant(mu0)
+    if kind == "pgd":
+        return PiecewiseGeometric(ScheduleParams(mu0=mu0, beta=beta, K0=K0, K_star=K_star))
+    return MBLS(mu_init=mu0)
+
+
+def _resolve_step(schedule: StepSchedule, mu_auto: float):
     """Step rule for descend: an MBLS with a numeric first trial step, or a
-    function k -> mu. auto_mu() supplies the automatic first step when the
-    schedule leaves it open."""
+    function k -> mu. mu_auto fills a first step the schedule leaves open."""
     if isinstance(schedule, MBLS):
         if schedule.mu_init is None:
-            schedule = dataclasses.replace(schedule, mu_init=auto_mu())
+            schedule = dataclasses.replace(schedule, mu_init=mu_auto)
         return schedule
     if isinstance(schedule, PiecewiseGeometric) and schedule.params.mu0_for(0) is None:
-        schedule = PiecewiseGeometric(dataclasses.replace(schedule.params, mu0=auto_mu()))
+        schedule = PiecewiseGeometric(dataclasses.replace(schedule.params, mu0=mu_auto))
     return functools.partial(step_size, schedule)
 
 
@@ -256,16 +263,18 @@ def descend(x0, value, grad, retract, distance, sqnorm, step, max_iters, stop_to
 
     value(x) returns (f, aux) and grad(x, aux) the subgradient at x, or None
     at a stationary point. retract(c) maps a step back onto the feasible set,
-    or returns None for a degenerate step, which raises ValueError. step is
-    an MBLS with a numeric mu_init, whose accepted candidate's value is reused
-    as the next iterate's, or a function k -> mu; sqnorm(g) is the ||g||^2 of
-    the MBLS descent test, passed in because each method rounds it its own
-    way and the accept decisions depend on those bits. The run stops when
+    or returns None for a degenerate step, which raises ValueError. step is a
+    StepSchedule or a function k -> mu; a first step the schedule leaves open
+    becomes f(x0)/sqnorm(g(x0)), or 1 when that norm is 0, from the loop's own
+    first value and subgradient. MBLS reuses its accepted candidate's value as
+    the next iterate's. sqnorm(g) is the ||g||^2 of the first step and the
+    MBLS descent test, passed in because each method rounds it its own way
+    and the accept decisions depend on those bits. The run stops when
     distance(x, x_new) < stop_tol or after max_iters steps. angle(x), when
     given, is recorded for every iterate.
     """
     mbls = isinstance(step, MBLS)
-    mu_ls = step.mu_init if mbls else None
+    rule = step if callable(step) else None
     x = x0
     f, aux = value(x)
     objs: list[float] = []
@@ -288,8 +297,12 @@ def descend(x0, value, grad, retract, distance, sqnorm, step, max_iters, stop_to
         if g is None:
             stop_reason = "stationary"
             break
-        if mbls:
+        if mbls or rule is None:
             gn2 = sqnorm(g)
+        if rule is None:  # first iterate: an open first step comes from its f and g
+            rule = _resolve_step(step, f / gn2 if gn2 > 0 else 1.0)
+            mu_ls = rule.mu_init if mbls else None
+        if mbls:
             mu = mu_ls
             n_back = 0
             while True:
@@ -305,7 +318,7 @@ def descend(x0, value, grad, retract, distance, sqnorm, step, max_iters, stop_to
             mu_ls = mu * step.grow
             backs.append(n_back)
         else:
-            mu = step(k)
+            mu = rule(k)
             cand = retract(x - mu * g)
         if cand is None:
             raise ValueError("degenerate step: update collapsed to the zero vector")
@@ -335,7 +348,6 @@ def psgm_single(
     b0: np.ndarray,
     config: SolverConfig,
     model: SubspaceModel | None = None,
-    stats: GeometryStats | None = None,
 ) -> tuple[np.ndarray, Trace]:
     """Run one projected subgradient instance from b0.
 
@@ -351,7 +363,6 @@ def psgm_single(
     if abs(nb - 1.0) > _UNIT_TOL:
         raise ValueError("b0 must have unit norm")
     b /= nb
-    zz = config.sgn_zero_is_zero
 
     def value(x):
         s = A.T @ x
@@ -362,9 +373,8 @@ def psgm_single(
         return float(np.arccos(min(max(h, -1.0), 1.0)))
 
     return descend(
-        b, value, lambda x, s: A @ _sgn(s, zz), sphere_retract, sphere_distance, sphere_sqnorm,
-        resolve_step(config.schedule, lambda: default_mu0(matrix, b, stats)),
-        config.max_iters, config.stop_tol,
+        b, value, lambda x, s: A @ np.sign(s), sphere_retract, sphere_distance, sphere_sqnorm,
+        config.schedule, config.max_iters, config.stop_tol,
         angle=angle if model is not None else None, record_iterates=config.record_iterates,
     )
 
@@ -373,7 +383,6 @@ def psgm_multi(
     matrix: DataMatrix,
     config: SolverConfig,
     model: SubspaceModel | None = None,
-    stats: GeometryStats | None = None,
 ) -> DualBasis:
     """Run config.c_prime independent instances from uniform random unit starts.
 
@@ -381,20 +390,23 @@ def psgm_multi(
     so runs are reproducible and any sub-list of instances matches a smaller
     c_prime run with the same master seed.
     """
+    schedule = config.schedule
+    mu0 = schedule.params.mu0 if isinstance(schedule, PiecewiseGeometric) else None
+    if isinstance(mu0, tuple) and len(mu0) != config.c_prime:
+        raise ValueError(
+            f"per-instance mu0 has {len(mu0)} entries for c_prime = {config.c_prime} instances"
+        )
     children = np.random.SeedSequence(config.seed).spawn(config.c_prime)
     cols: list[np.ndarray] = []
     traces: list[Trace] = []
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         b0 = unit_sphere_columns(rng, matrix.ambient_dim, 1)[:, 0]
-        schedule = config.schedule
-        if isinstance(schedule, PiecewiseGeometric) and isinstance(schedule.params.mu0, tuple):
-            schedule = PiecewiseGeometric(
-                dataclasses.replace(schedule.params, mu0=schedule.params.mu0[i])
-            )
+        if isinstance(mu0, tuple):
+            schedule = PiecewiseGeometric(dataclasses.replace(config.schedule.params, mu0=mu0[i]))
         cfg_i = dataclasses.replace(config, schedule=schedule)
         try:
-            b, tr = psgm_single(matrix, b0, cfg_i, model=model, stats=stats)
+            b, tr = psgm_single(matrix, b0, cfg_i, model=model)
         except ValueError as e:
             raise ValueError(f"instance {i}: {e}") from e
         cols.append(b)

@@ -2,7 +2,8 @@
 
 Everything here is an independent re-derivation of a quantity the package
 computes in closed form: Monte Carlo means, finite differences, brute-force
-grids, and direct series summation. Slow but obviously correct.
+grids, and direct series summation. Slow but obviously correct. The one
+exception is CountingArray, which counts the matrix products a run spends.
 """
 import numpy as np
 
@@ -98,3 +99,25 @@ def rand_orthonormal(rng, D, k):
 
 def angle_between(u, v):
     return float(np.arccos(np.clip(abs(float(u @ v)), 0.0, 1.0)))
+
+
+class CountingArray(np.ndarray):
+    """ndarray view that counts the matrix products it enters; views of it
+    (such as its transpose) share one counter."""
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.counter[0] += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, CountingArray) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def count_products(matrix):
+    """Replace matrix.points by a counting view; returns its one-element counter."""
+    view = matrix.points.view(CountingArray)
+    view.counter = [0]
+    object.__setattr__(matrix, "points", view)
+    return view.counter

@@ -29,7 +29,7 @@ from dpcp.geometry import (
     theory_report,
 )
 
-from helpers import mc_hemisphere_height, summed_kappa
+from helpers import count_products, mc_hemisphere_height, summed_kappa
 
 HAND_STATS = GeometryStats(
     c_X_min=0.4, c_X_max=0.6, c_O_min=0.2, c_O_max=0.5,
@@ -134,6 +134,19 @@ def test_extremal_average_accepts_data_matrix():
     d = DataMatrix(points=np.eye(3))
     v = estimate_extremal_average(d, "min", seed=0)
     assert abs(v - 1.0 / 3.0) < 1e-6  # min of (|b1|+|b2|+|b3|)/3 on the sphere
+
+
+def test_extremal_refinement_spends_two_products_per_iteration():
+    model = sample_haar_subspace(6, 4, seed=1)
+    counts = []
+    for iters in (50, 60):
+        data = generate_dataset(model, N=60, M=40, seed=2)
+        products = count_products(data)
+        estimate_extremal_average(data, "max", n_samples=16, n_restarts=1,
+                                  refine_iters=iters, seed=3)
+        counts.append(products[0])
+    # one product for the probes, two at the start of the refinement, two per step
+    assert counts == [1 + 2 + 2 * 50, 1 + 2 + 2 * 60]
 
 
 def test_estimate_eta_against_grid_oracle():

@@ -236,6 +236,17 @@ def test_load_results_infers_kind(tmp_path):
         assert load_results(p).kind == kind
 
 
+def test_load_results_rejects_unknown_cell_columns(tmp_path):
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text('cell_q,method,trial,seed,wall_time,error,report\n1,m,0,1,0,,{}\n')
+    with pytest.raises(ValueError, match=r"cell columns \['q'\] name no table kind"):
+        load_results(unknown)
+    empty = tmp_path / "empty.csv"
+    persist(ResultTable(kind="codim_sweep"), empty)
+    with pytest.raises(ValueError, match=r"cell columns \[\] name no table kind"):
+        load_results(empty)
+
+
 def test_write_plotdata_headers(tmp_path):
     table = _tiny_table()
     p = tmp_path / "plot.tsv"

@@ -77,6 +77,22 @@ def test_rsgm_deterministic_and_monotone_mbls():
     assert len(a.trace.objective) == len(a.trace.step) + 1
 
 
+def test_rsgm_automatic_pgd_first_step():
+    # f(B0)/||G(B0)||^2 at the spectral start, with G the tangent projection
+    # of the Euclidean subgradient A (row-normalized A^T B0)
+    model = sample_haar_subspace(12, 9, seed=3)
+    data = generate_dataset(model, N=150, M=100, seed=4)
+    A = data.points
+    B0 = spectral_init(data, 3).columns
+    S = A.T @ B0
+    rn = np.linalg.norm(S, axis=1)
+    G = A @ (S / rn[:, None])
+    G = G - B0 @ (0.5 * (B0.T @ G + G.T @ B0))
+    expected = float(rn.sum()) / float(np.sum(G * G))
+    basis = rsgm_run(data, 3, _auto_pgd(), max_iters=5)
+    assert basis.trace.step[0] == expected
+
+
 def test_rsgm_iterates_stay_orthonormal():
     model = sample_haar_subspace(6, 4, seed=7)
     data = generate_dataset(model, N=150, M=50, seed=8)

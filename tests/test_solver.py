@@ -28,7 +28,7 @@ from dpcp.solver import (
     trace_to_csv,
 )
 
-from helpers import brute_objective, rand_unit
+from helpers import brute_objective, count_products, rand_unit
 
 
 def test_schedule_validation():
@@ -233,6 +233,29 @@ def test_psgm_multi_per_instance_mu0():
                                           schedule=sched))
     assert basis.traces[0].step[0] == 0.2
     assert basis.traces[1].step[0] == 0.05
+
+
+def test_psgm_multi_rejects_per_instance_mu0_of_wrong_length():
+    data = _line_dataset(30)
+    for mu0 in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):
+        sched = PiecewiseGeometric(ScheduleParams(mu0=mu0, beta=0.5, K0=2, K_star=1))
+        with pytest.raises(ValueError, match=f"{len(mu0)} entries for c_prime = 3"):
+            psgm_multi(data, SolverConfig(c_prime=3, max_iters=5, schedule=sched))
+
+
+def test_psgm_single_mbls_products_per_iteration():
+    # one A^T b at the start, then per iteration one A sgn(A^T b) and one
+    # A^T c per candidate: the automatic first step reuses the first two
+    model = sample_haar_subspace(8, 6, seed=4)
+    data = generate_dataset(model, N=200, M=80, seed=5)
+    b0 = rand_unit(np.random.default_rng(1), 8)
+    mu0 = default_mu0(data, b0 / np.linalg.norm(b0))  # the start as psgm_single normalizes it
+    products = count_products(data)
+    _, trace = psgm_single(data, b0, SolverConfig(schedule=MBLS(), max_iters=300, stop_tol=1e-12))
+    assert trace.n_iterations > 10 and trace.backtracks.sum() > 0
+    assert products[0] == 2 * trace.n_iterations + int(trace.backtracks.sum()) + 1
+    # the first trial step is f(b0)/||g(b0)||^2, halved once per backtrack
+    assert trace.step[0] == mu0 * 0.5 ** trace.backtracks[0]
 
 
 def test_trace_to_csv(tmp_path):
