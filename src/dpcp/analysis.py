@@ -215,7 +215,7 @@ def recovery_report(
     basis,
     model: SubspaceModel | None = None,
     matrix: DataMatrix | None = None,
-    rank_strategy: str = "gap",
+    strategy: str = "gap",
     tau: float = 0.05,
     threshold="auto",
 ) -> RecoveryReport:
@@ -224,7 +224,7 @@ def recovery_report(
     procrustes_distance is only defined when the estimated codimension matches
     the model's; classification metrics require a labeled matrix.
     """
-    rank, svals = estimate_rank(basis, strategy=rank_strategy, tau=tau)
+    rank, svals = estimate_rank(basis, strategy=strategy, tau=tau)
     Q = orthonormal_column_space(basis, rank)
     proc = proj = ang = None
     prec = rec = f1 = None

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .dataset import (
     DataMatrix,
     SubspaceModel,
 )
-from .serialize import to_json, to_kv
+from .serialize import fields_from_json, to_json, to_kv
 
 
 def _resolve_seed(value) -> int:
@@ -98,7 +99,7 @@ def _cmd_rsgm(args) -> int:
 def _finish_basis(basis, matrix: DataMatrix, args) -> None:
     """Report the estimated codimension and write the requested outputs."""
     report = analysis.recovery_report(
-        basis, matrix=matrix, rank_strategy=args.rank_strategy, tau=args.tau
+        basis, matrix=matrix, strategy=args.strategy, tau=args.tau
     )
     print(f"estimated_codim={report.estimated_codim}")
     if args.out_basis:
@@ -139,18 +140,10 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
-def _stats_from_json(path: str) -> geometry.GeometryStats:
-    import json
-
-    with open(path) as fh:
-        raw = json.load(fh)
-    return geometry.GeometryStats(**raw)
-
-
 def _cmd_theory(args) -> int:
     print("seed=deterministic (condition evaluation)")
     if args.stats:
-        stats = _stats_from_json(args.stats)
+        stats = geometry.GeometryStats(**fields_from_json(geometry.GeometryStats, args.stats))
         N, M = args.N, args.M
         if N is None or M is None:
             raise ValueError("--N and --M are required with --stats")
@@ -187,8 +180,7 @@ def _cmd_continuous(args) -> int:
         kind="continuous_check", D=args.D, d=args.d, p=args.p, c_prime=args.cprime,
         trials=args.trials, seed=seed, max_iters=args.max_iters,
         beta=args.beta, K0=args.K0, K_star=args.K_star,
-        mu0=args.mu0,
-        stop_tol=args.stop_tol, workers=args.workers,
+        mu0=args.mu0, stop_tol=args.stop_tol,
     )
     table = harness.run_experiment(config)
     _finish_table(table, args)
@@ -197,33 +189,24 @@ def _cmd_continuous(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = harness.config_from_json(args.config)
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.seed is not None:
-        overrides["seed"] = int(args.seed)
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
+        config = dataclasses.replace(config, seed=int(args.seed))
     print(f"seed={config.seed}")
     expected = {"phase": "phase_transition", "codim": "codim_sweep", "pursuit": "outlier_pursuit"}
     if config.kind != expected[args.command]:
         raise ValueError(f"config kind {config.kind!r} does not match the {args.command} command")
     table = harness.run_experiment(config)
-    _finish_table(table, args, config)
+    _finish_table(table, args)
     return 0
 
 
-def _finish_table(table, args, config=None) -> None:
-    out = getattr(args, "out", None) or (config.output_path if config else None)
-    if out:
-        harness.persist(table, out)
-        print(f"wrote {len(table.rows)} rows to {out}")
-    plot = getattr(args, "plotdata", None)
-    if plot:
-        harness.write_plotdata(table, plot)
-        print(f"wrote plot data to {plot}")
+def _finish_table(table, args) -> None:
+    if args.out:
+        harness.persist(table, args.out)
+        print(f"wrote {len(table.rows)} rows to {args.out}")
+    if args.plotdata:
+        harness.write_plotdata(table, args.plotdata)
+        print(f"wrote plot data to {args.plotdata}")
     errors = [r for r in table.rows if r.error]
     if errors:
         print(f"{len(errors)} of {len(table.rows)} cells failed; first: {errors[0].error}",
@@ -250,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--cprime", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--rank-strategy", choices=["gap", "threshold"], default="gap")
+    p.add_argument("--rank-strategy", dest="strategy", choices=["gap", "threshold"], default="gap")
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--out-basis")
     p.add_argument("--out-report")
@@ -262,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orientation", choices=["points", "dims"], default="points")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--cprime", type=int, required=True)
-    p.add_argument("--rank-strategy", choices=["gap", "threshold"], default="gap")
+    p.add_argument("--rank-strategy", dest="strategy", choices=["gap", "threshold"], default="gap")
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--out-basis")
     p.add_argument("--out-report")
@@ -307,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cprime", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--mu0", type=_mu0_or_auto, default="auto")
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--K0", type=int, default=50)
@@ -325,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
-        p.add_argument("--workers", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
         p.add_argument("--plotdata")

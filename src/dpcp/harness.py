@@ -15,6 +15,7 @@ persistence; two runs of the same config write byte-identical tables.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -39,7 +40,7 @@ from .dataset import (
     sample_haar_subspace,
     unit_sphere_columns,
 )
-from .serialize import as_plain
+from .serialize import as_plain, fields_from_json
 
 # the cell keys of each kind's rows, in the order the solver seed hashes them
 CELL_KEYS = {
@@ -73,7 +74,6 @@ class ExperimentConfig:
     # outlier_pursuit proxy
     n_columns: int = 10000
     proxy_inlier_dim: int = 5
-    proxy_noise: float = 1e-3
     rsgm_known_c: int = 5
     # continuous_check
     p: float | None = None
@@ -85,16 +85,12 @@ class ExperimentConfig:
     K_star: int = 10
     max_iters: int = 1000
     stop_tol: float = 1e-9
-    rank_strategy: str = "gap"
-    rank_tau: float = 0.05
-    workers: int = 1
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.kind not in CELL_KEYS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.D < 2 or self.trials < 1 or self.c_prime < 1 or self.workers < 1:
-            raise ValueError("invalid config: D >= 2, trials >= 1, c_prime >= 1, workers >= 1")
+        if self.D < 2 or self.trials < 1 or self.c_prime < 1:
+            raise ValueError("invalid config: D >= 2, trials >= 1, c_prime >= 1")
         if self.schedule_kind not in ("const", "pgd", "mbls"):
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
         if self.kind == "phase_transition":
@@ -147,8 +143,7 @@ def config_to_json(config: ExperimentConfig, path: str) -> None:
 
 
 def config_from_json(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = fields_from_json(ExperimentConfig, path)
     for key in ("N_grid", "M_grid", "methods", "codim_grid", "r_grid"):
         if key in raw and raw[key] is not None:
             raw[key] = tuple(raw[key])
@@ -226,12 +221,8 @@ def _solve(config: ExperimentConfig, matrix: DataMatrix, method: str, seed: int,
     )
 
 
-def _recovery(config, model, matrix, basis) -> dict:
-    rep = analysis.recovery_report(
-        basis, model=model, matrix=matrix,
-        rank_strategy=config.rank_strategy, tau=config.rank_tau,
-    )
-    report = _flatten_report(rep)
+def _recovery(model, matrix, basis) -> dict:
+    report = _flatten_report(analysis.recovery_report(basis, model=model, matrix=matrix))
     if model is not None:
         report["true_codim"] = model.codim
     return report
@@ -253,7 +244,7 @@ def _phase_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
     model = sample_haar_subspace(config.D, config.d, model_seed)
     matrix = generate_dataset(model, N, M, data_seed)
     c = model.codim if method == "rsgm" else config.c_prime
-    return _recovery(config, model, matrix, _solve(config, matrix, method, seed, c))
+    return _recovery(model, matrix, _solve(config, matrix, method, seed, c))
 
 
 def ratio_to_counts(N: int, r: float) -> int:
@@ -268,7 +259,7 @@ def _codim_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
     M = ratio_to_counts(config.N, r)
     model = sample_haar_subspace(config.D, config.D - c, model_seed)
     matrix = generate_dataset(model, config.N, M, data_seed)
-    return _recovery(config, model, matrix, _solve(config, matrix, method, seed, c))
+    return _recovery(model, matrix, _solve(config, matrix, method, seed, c))
 
 
 def hsi_proxy(
@@ -300,12 +291,12 @@ def _pursuit_report(config: ExperimentConfig, cell: dict, method: str, trial: in
     r = cell["r"]
     _, base = hsi_proxy(
         D=config.D, inlier_dim=config.proxy_inlier_dim, n_columns=config.n_columns,
-        noise=config.proxy_noise, seed=derive_seed(config.seed, config.kind, "proxy"),
+        seed=derive_seed(config.seed, config.kind, "proxy"),
     )
     corrupt_seed = derive_seed(config.seed, config.kind, r, trial, "corrupt")
     matrix = corrupt_with_outliers(base, r, corrupt_seed)
     c = config.rsgm_known_c if method == "rsgm_known" else config.c_prime
-    return _recovery(config, None, matrix, _solve(config, matrix, method, seed, c))
+    return _recovery(None, matrix, _solve(config, matrix, method, seed, c))
 
 
 def _continuous_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
@@ -347,19 +338,19 @@ def _run_cell(config: ExperimentConfig, cell: dict, method: str, trial: int,
     t0 = time.perf_counter()
     try:
         report, error = _REPORTS[config.kind](config, cell, method, trial, seed), None
-    except Exception as e:  # noqa: BLE001 - a failed cell must not sink the grid
+    except ValueError as e:  # a numerical failure (LinAlgError included) fails only its row
         report, error = {}, str(e)
     return ResultRow(cell=cell, method=method, trial=trial, seed=seed, report=report,
                      wall_time=time.perf_counter() - t0, error=error)
 
 
 def _jobs(config: ExperimentConfig) -> list[tuple]:
-    """(config, cell, method, trial, seed) per row. The seed is the solver's,
+    """(cell, method, trial, seed) per row. The seed is the solver's,
     derived from the cell values, trial and method, or for a continuous check
     the seed of the trial's starts."""
     k, trials = config.kind, range(config.trials)
     if k == "continuous_check":
-        return [(config, dict(zip(CELL_KEYS[k], (t,))), "continuous", t,
+        return [(dict(zip(CELL_KEYS[k], (t,))), "continuous", t,
                  cell_data_seeds(config, t)[1]) for t in trials]
     if k == "phase_transition":
         cells = [((N, M), m) for N in config.N_grid for M in config.M_grid for m in config.methods]
@@ -367,23 +358,15 @@ def _jobs(config: ExperimentConfig) -> list[tuple]:
         cells = [((c, r), "psgm") for c in config.codim_grid for r in config.r_grid]
     else:
         cells = [((r,), m) for r in config.r_grid for m in config.methods]
-    return [(config, dict(zip(CELL_KEYS[k], vals)), m, t,
+    return [(dict(zip(CELL_KEYS[k], vals)), m, t,
              derive_seed(config.seed, k, *vals, t, m, "solver"))
             for vals, m in cells for t in trials]
 
 
-def _execute(jobs, workers: int) -> list[ResultRow]:
-    if workers <= 1:
-        return [_run_cell(*j) for j in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(_run_cell, *zip(*jobs)))
-
-
 def run_experiment(config: ExperimentConfig) -> ResultTable:
-    """Run every (cell, method, trial) of the grid; a failed cell becomes an error row."""
-    rows = _execute(_jobs(config), config.workers)
+    """Run every (cell, method, trial) of the grid in this process; a cell that
+    raises ValueError becomes an error row."""
+    rows = [_run_cell(config, *job) for job in _jobs(config)]
     return ResultTable(kind=config.kind, rows=ResultTable(config.kind, rows).sorted_rows())
 
 
@@ -418,83 +401,52 @@ def _decode_cell_value(s: str):
         return float(s)
 
 
-def persist(table: ResultTable, path: str, fmt: str | None = None, include_timing: bool = False) -> None:
-    """Write a table as CSV (flat, report as a JSON column) or JSON (nested).
+def _csv_path(path) -> str:
+    path = os.fspath(path)
+    if not path.lower().endswith(".csv"):
+        raise ValueError(f"unknown format {os.path.splitext(path)[1]!r}: result tables are .csv")
+    return path
+
+
+def persist(table: ResultTable, path: str, include_timing: bool = False) -> None:
+    """Write a table as CSV: the cell columns of its kind, then the row fields
+    with the report as a sorted-key JSON column.
 
     Timing is volatile, so wall_time is written as 0 unless include_timing is
     set; this keeps repeated runs of the same seed byte-identical.
     """
-    path = os.fspath(path)
-    fmt = fmt or (path.rsplit(".", 1)[-1].lower() if "." in path else "")
-    rows = table.sorted_rows()
-    if fmt == "csv":
-        cell_keys = sorted({k for r in rows for k in r.cell})
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join([f"cell_{k}" for k in cell_keys]
-                              + ["method", "trial", "seed", "wall_time", "error", "report"]) + "\n")
-            for r in rows:
-                wall = format(r.wall_time, ".17g") if include_timing else "0"
-                fields = [_encode_cell_value(r.cell.get(k, "")) for k in cell_keys]
-                fields += [r.method, str(r.trial), str(r.seed), wall,
-                           r.error or "", json.dumps(r.report, sort_keys=True)]
-                fh.write(",".join('"' + f.replace('"', '""') + '"' if ("," in f or '"' in f) else f
-                                  for f in fields) + "\n")
-    elif fmt == "json":
-        doc = {
-            "kind": table.kind,
-            "rows": [
-                {
-                    "cell": r.cell, "method": r.method, "trial": r.trial, "seed": r.seed,
-                    "report": r.report,
-                    "wall_time": r.wall_time if include_timing else 0.0,
-                    "error": r.error,
-                }
-                for r in rows
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-    else:
-        raise ValueError(f"unknown format {fmt!r}: use 'csv' or 'json'")
+    cell_keys = sorted(CELL_KEYS[table.kind])
+    with open(_csv_path(path), "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow([f"cell_{k}" for k in cell_keys]
+                     + ["method", "trial", "seed", "wall_time", "error", "report"])
+        for r in table.sorted_rows():
+            wall = format(r.wall_time, ".17g") if include_timing else "0"
+            out.writerow([_encode_cell_value(r.cell.get(k, "")) for k in cell_keys]
+                         + [r.method, str(r.trial), str(r.seed), wall,
+                            r.error or "", json.dumps(r.report, sort_keys=True)])
 
 
-def load_results(path: str, fmt: str | None = None) -> ResultTable:
+def load_results(path: str) -> ResultTable:
     """Read back a persisted table; the lossless inverse of persist."""
-    path = os.fspath(path)
-    fmt = fmt or (path.rsplit(".", 1)[-1].lower() if "." in path else "")
-    if fmt == "csv":
-        import csv as _csv
-
-        with open(path, newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader)
-            cell_keys = {h[5:] for h in header if h.startswith("cell_")}
-            kind = next((k for k, keys in CELL_KEYS.items() if set(keys) == cell_keys), None)
-            if kind is None:
-                raise ValueError(f"cell columns {sorted(cell_keys)} name no table kind")
-            rows = []
-            for rec in reader:
-                m = dict(zip(header, rec))
-                cell = {k: _decode_cell_value(m[f"cell_{k}"])
-                        for k in CELL_KEYS[kind] if m[f"cell_{k}"]}
-                rows.append(ResultRow(
-                    cell=cell, method=m["method"], trial=int(m["trial"]), seed=int(m["seed"]),
-                    report=json.loads(m["report"]), wall_time=float(m["wall_time"]),
-                    error=m["error"] or None,
-                ))
-        return ResultTable(kind=kind, rows=rows)
-    if fmt == "json":
-        with open(path) as fh:
-            doc = json.load(fh)
-        rows = [
-            ResultRow(
-                cell=r["cell"], method=r["method"], trial=r["trial"], seed=r["seed"],
-                report=r["report"], wall_time=r["wall_time"], error=r["error"],
-            )
-            for r in doc["rows"]
-        ]
-        return ResultTable(kind=doc["kind"], rows=rows)
-    raise ValueError(f"unknown format {fmt!r}: use 'csv' or 'json'")
+    with open(_csv_path(path), newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        cell_keys = {h[5:] for h in header if h.startswith("cell_")}
+        kind = next((k for k, keys in CELL_KEYS.items() if set(keys) == cell_keys), None)
+        if kind is None:
+            raise ValueError(f"cell columns {sorted(cell_keys)} name no table kind")
+        rows = []
+        for rec in reader:
+            m = dict(zip(header, rec))
+            cell = {k: _decode_cell_value(m[f"cell_{k}"])
+                    for k in CELL_KEYS[kind] if m[f"cell_{k}"]}
+            rows.append(ResultRow(
+                cell=cell, method=m["method"], trial=int(m["trial"]), seed=int(m["seed"]),
+                report=json.loads(m["report"]), wall_time=float(m["wall_time"]),
+                error=m["error"] or None,
+            ))
+    return ResultTable(kind=kind, rows=rows)
 
 
 def write_plotdata(table: ResultTable, path: str) -> None:

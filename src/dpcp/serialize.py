@@ -1,4 +1,4 @@
-"""JSON and key=value serialization helpers for report dataclasses."""
+"""JSON and key=value serialization helpers for report and config dataclasses."""
 
 from __future__ import annotations
 
@@ -25,6 +25,24 @@ def as_plain(obj):
 
 def to_json(obj, indent: int = 2) -> str:
     return json.dumps(as_plain(obj), indent=indent, allow_nan=True)
+
+
+def fields_from_json(cls, path: str) -> dict:
+    """The JSON object in the file at path as keyword arguments of the dataclass
+    cls; raises ValueError naming every unknown key and missing required field."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object of {cls.__name__} fields")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in fields})
+    missing = [f.name for f in fields if f.name not in raw
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    bad = [f"{what} keys {keys}" for what, keys in (("unknown", unknown), ("missing", missing))
+           if keys]
+    if bad:
+        raise ValueError(f"{path}: {'; '.join(bad)} for {cls.__name__}")
+    return raw
 
 
 def _kv_lines(prefix: str, value, out: list[str]) -> None:

@@ -129,6 +129,17 @@ def test_theory_stats_path_requires_counts(limit_stats, capsys):
     assert "--N and --M are required" in err
 
 
+def test_theory_stats_rejects_unknown_keys(limit_stats, tmp_path, capsys):
+    with open(limit_stats) as fh:
+        stats = json.load(fh)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(stats, eta=0.1)))
+    code, _, err = run_cli(["theory", "--stats", str(bad), "--N", "10", "--M", "10",
+                            "--D", "16", "--cprime", "4"], capsys)
+    assert code == 2
+    assert "unknown keys ['eta'] for GeometryStats" in err
+
+
 def test_continuous_command_table_and_plotdata(tmp_path, capsys):
     out_csv = tmp_path / "cont.csv"
     plot = tmp_path / "cont.tsv"
@@ -161,6 +172,14 @@ def test_grid_command_runs_config_and_rejects_kind_mismatch(tmp_path, capsys):
     code, _, err = run_cli(["codim", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert "does not match the codim command" in err
+    raw = json.loads(cfg_path.read_text())
+    bad_configs = [(dict(raw, workers=2), "unknown keys ['workers']"),
+                   ({k: v for k, v in raw.items() if k != "kind"}, "missing keys ['kind']")]
+    for doc, message in bad_configs:
+        cfg_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["codim", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
 
 
 def test_dispatch_usage_and_runtime_exit_codes(dataset, capsys):

@@ -1,10 +1,8 @@
-import dataclasses
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpcp import harness
 from dpcp.harness import (
     ExperimentConfig,
     ResultRow,
@@ -168,14 +166,21 @@ def test_run_continuous_check_smoke():
     assert "tag" in tagged.rows[0].report
 
 
-def test_worker_pool_writes_the_same_table(tmp_path):
-    cfg = ExperimentConfig(kind="codim_sweep", D=8, N=60, codim_grid=(2, 3),
-                           r_grid=(0.2, 0.4), c_prime=4, trials=1, seed=13,
-                           max_iters=100)
-    for workers in (1, 2):
-        persist(run_experiment(dataclasses.replace(cfg, workers=workers)),
-                tmp_path / f"w{workers}.csv")
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+def test_run_cell_turns_only_value_errors_into_error_rows(monkeypatch):
+    cfg = ExperimentConfig(kind="codim_sweep", D=8, N=60, codim_grid=(2,), r_grid=(0.2,),
+                           c_prime=4)
+
+    def fail_with(exc):
+        def report(*args):
+            raise exc
+        return report
+
+    monkeypatch.setitem(harness._REPORTS, "codim_sweep", fail_with(ValueError("singular")))
+    (row,) = run_experiment(cfg).rows
+    assert row.error == "singular" and row.report == {}
+    monkeypatch.setitem(harness._REPORTS, "codim_sweep", fail_with(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        run_experiment(cfg)
 
 
 def _tiny_table():
@@ -200,25 +205,28 @@ def test_exact_recovery_rates_counts_misses_and_errors():
 
 def test_persist_roundtrip_and_determinism(tmp_path):
     table = _tiny_table()
-    for fmt in ("csv", "json"):
-        p1 = tmp_path / f"t1.{fmt}"
-        p2 = tmp_path / f"t2.{fmt}"
-        persist(table, p1)
-        back = load_results(p1)
-        assert back.kind == "codim_sweep"
-        assert len(back.rows) == len(table.rows)
-        for orig, got in zip(table.sorted_rows(), back.rows):
-            assert got.cell == orig.cell
-            assert got.method == orig.method and got.trial == orig.trial
-            assert got.seed == orig.seed and got.report == orig.report
-            assert got.wall_time == 0.0  # timing is volatile, not persisted
-        persist(back, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    table.rows.append(ResultRow(cell={"c": 2, "r": 0.2}, method="psgm", trial=2, seed=2,
+                                report={}, wall_time=0.37, error="\n"))
+    p1 = tmp_path / "t1.csv"
+    p2 = tmp_path / "t2.csv"
+    persist(table, p1)
+    back = load_results(p1)
+    assert back.kind == "codim_sweep"
+    assert len(back.rows) == len(table.rows)
+    for orig, got in zip(table.sorted_rows(), back.rows):
+        assert got.cell == orig.cell
+        assert got.method == orig.method and got.trial == orig.trial
+        assert got.seed == orig.seed and got.report == orig.report
+        assert got.error == orig.error
+        assert got.wall_time == 0.0  # timing is volatile, not persisted
+    persist(back, p2)
+    assert p1.read_bytes() == p2.read_bytes()
     timed = tmp_path / "timed.csv"
     persist(table, timed, include_timing=True)
     assert load_results(timed).rows[0].wall_time == 0.37
-    with pytest.raises(ValueError, match="unknown format"):
-        persist(table, tmp_path / "t.parquet")
+    for suffix in ("parquet", "json"):
+        with pytest.raises(ValueError, match="unknown format"):
+            persist(table, tmp_path / f"t.{suffix}")
 
 
 def test_load_results_infers_kind(tmp_path):
@@ -243,8 +251,8 @@ def test_load_results_rejects_unknown_cell_columns(tmp_path):
         load_results(unknown)
     empty = tmp_path / "empty.csv"
     persist(ResultTable(kind="codim_sweep"), empty)
-    with pytest.raises(ValueError, match=r"cell columns \[\] name no table kind"):
-        load_results(empty)
+    back = load_results(empty)
+    assert back.kind == "codim_sweep" and back.rows == []
 
 
 def test_write_plotdata_headers(tmp_path):
