@@ -20,16 +20,7 @@ import numpy as np
 from .analysis import projection_distance
 from .dataset import SubspaceModel
 from .geometry import hemisphere_height
-from .solver import (
-    MBLS,
-    StepSchedule,
-    Trace,
-    descend,
-    sphere_distance,
-    sphere_retract,
-    sphere_sqnorm,
-    step_size,
-)
+from .solver import MBLS, StepSchedule, Trace, descend, step_size
 
 _ZERO_TOL = 1e-14
 
@@ -113,18 +104,25 @@ def continuous_psgm_run(
             )
         return mu
 
-    def grad(x, _):
+    def grad(X, _, rows):
+        x = X[0]
         sproj = sub.basis_S @ (sub.basis_S.T @ x)
         ns = np.linalg.norm(sproj)
         if ns <= _ZERO_TOL:
             return None  # already in the complement: fixed point reached
-        return problem.p * problem.c_D * x + (1.0 - problem.p) * problem.c_d * sproj / ns
+        return (problem.p * problem.c_D * x + (1.0 - problem.p) * problem.c_d * sproj / ns)[None]
 
-    return descend(
-        b, lambda x: (continuous_objective(problem, x), None), grad,
-        sphere_retract, sphere_distance, sphere_sqnorm, step, max_iters, stop_tol,
+    def retract(C):
+        nc = np.linalg.norm(C[0])
+        return C / nc if nc > 0 else np.full_like(C, np.nan)
+
+    (b, trace), = descend(
+        [b], lambda X, rows: (np.array([continuous_objective(problem, X[0])]), None), grad,
+        retract, lambda X, Y: np.array([math.acos(min(max(float(X[0] @ Y[0]), -1.0), 1.0))]),
+        lambda G: np.array([G[0] @ G[0]]), step, max_iters, stop_tol,
         angle=lambda x: math.acos(min(comp_norm(x), 1.0)), record_iterates=record_iterates,
     )
+    return b, trace
 
 
 def continuous_span_check(

@@ -438,6 +438,9 @@ def load_results(path: str) -> ResultTable:
             raise ValueError(f"cell columns {sorted(cell_keys)} name no table kind")
         rows = []
         for rec in reader:
+            if len(rec) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(rec)} fields, "
+                                 f"the header has {len(header)}")
             m = dict(zip(header, rec))
             cell = {k: _decode_cell_value(m[f"cell_{k}"])
                     for k in CELL_KEYS[kind] if m[f"cell_{k}"]}

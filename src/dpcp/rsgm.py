@@ -108,16 +108,20 @@ def rsgm_run(
     notes: list[str] = []
     k = -1
 
-    def grad(X, S):
+    def value(X, rows):
+        f, S = _group_objective(A, X[0])
+        return np.array([f]), S[None]
+
+    def grad(X, S, rows):
         nonlocal k
         k += 1  # one subgradient per iteration, so k numbers the step being retracted
-        return _riemannian_subgradient(A, X, S)
+        return _riemannian_subgradient(A, X[0], S[0])[None]
 
-    B, trace = descend(
-        B, lambda X: _group_objective(A, X), grad,
-        lambda C: _polar_retract(C, notes, k),
-        lambda X, Y: float(np.linalg.norm(Y - X)),
-        lambda G: float(np.sum(G * G)),
+    (B, trace), = descend(
+        [B], value, grad,
+        lambda C: _polar_retract(C[0], notes, k)[None],
+        lambda X, Y: np.array([np.linalg.norm(Y[0] - X[0])]),
+        lambda G: np.array([np.sum(G[0] * G[0])]),
         schedule, max_iters, stop_tol,
         angle=(lambda X: max_subspace_angle(X, model.basis_Sperp)) if model is not None else None,
     )

@@ -9,22 +9,33 @@ and decouple completely.
 Step rules: a constant step, a piecewise-geometric decay (flat for K0
 iterations, then decaying by beta every K_star), or a monotone backtracking
 line search (MBLS) that accepts a step only on sufficient decrease.
+
+The instances share their products but stay numerically independent. They
+run as a panel of PANEL_WIDTH rows, one instance per row, so one block
+product X A gives every row's A^T b and one sgn(S) A^T every row's
+subgradient; when an instance stops, the next start takes its row. The
+width is fixed, not an option, because a BLAS product rounds a row the same
+way whatever slot it sits in and whatever its neighbours hold, but not
+whatever the width. At one fixed width an instance's bits therefore depend
+on its own start alone: psgm_single equals the matching column of
+psgm_multi, and a smaller c_prime run is a prefix of a larger one. The bits
+can still change with the BLAS build and its thread count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import _basis_array
 from .dataset import DataMatrix, SubspaceModel, unit_sphere_columns
-from .geometry import GeometryStats, ScheduleParams, mu_prime
+from .geometry import ScheduleParams
 
 _UNIT_TOL = 1e-8
+PANEL_WIDTH = 16  # rows of a psgm panel; see the module docstring for why it is fixed
 
 
 @dataclass(frozen=True)
@@ -206,17 +217,6 @@ def average_terms(matrix: DataMatrix, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return x_avg, o_avg
 
 
-def default_mu0(matrix: DataMatrix, b0: np.ndarray, stats: GeometryStats | None = None) -> float:
-    """Initial step f(b0)/||g(b0)||^2, clipped to mu_prime when stats are given."""
-    g = subgradient(matrix, b0)
-    n2 = float(g @ g)
-    mu = objective(matrix, b0) / n2 if n2 > 0 else 1.0
-    if stats is not None and matrix.labels is not None:
-        m = matrix.inlier_mask()
-        mu = min(mu, mu_prime(stats, int(m.sum()), int((~m).sum())))
-    return mu
-
-
 def schedule_from(kind: str, mu0: float | None, beta: float, K0: int, K_star: int) -> StepSchedule:
     """The step schedule named kind ("const", "pgd" or "mbls"). mu0=None leaves
     the first step to descend, which a constant schedule does not allow."""
@@ -229,118 +229,227 @@ def schedule_from(kind: str, mu0: float | None, beta: float, K0: int, K_star: in
     return MBLS(mu_init=mu0)
 
 
-def _resolve_step(schedule: StepSchedule, mu_auto: float):
-    """Step rule for descend: an MBLS with a numeric first trial step, or a
+def _resolve_step(schedule, mu_auto: float, instance: int):
+    """Step rule of one problem: an MBLS with a numeric first trial step, or a
     function k -> mu. mu_auto fills a first step the schedule leaves open."""
+    if callable(schedule):
+        return schedule
     if isinstance(schedule, MBLS):
         if schedule.mu_init is None:
             schedule = dataclasses.replace(schedule, mu_init=mu_auto)
         return schedule
-    if isinstance(schedule, PiecewiseGeometric) and schedule.params.mu0_for(0) is None:
+    if isinstance(schedule, PiecewiseGeometric) and schedule.params.mu0_for(instance) is None:
         schedule = PiecewiseGeometric(dataclasses.replace(schedule.params, mu0=mu_auto))
-    return functools.partial(step_size, schedule)
+    return functools.partial(step_size, schedule, instance=instance)
 
 
-def sphere_retract(c: np.ndarray) -> np.ndarray | None:
-    """Normalize back onto the unit sphere; None when the step hit zero."""
-    nc = np.linalg.norm(c)
-    return c / nc if nc > 0 else None
+class _Run:
+    """What the loop keeps of one problem while it holds a panel slot."""
+
+    def __init__(self, index: int, angle, record_iterates: bool):
+        self.index = index
+        self.k = 0
+        self.rule = None
+        self.objs: list[float] = []
+        self.steps: list[float] = []
+        self.backs: list[int] = []
+        self.angles: list[float] | None = [] if angle is not None else None
+        self.iterates: list[np.ndarray] | None = [] if record_iterates else None
 
 
-def sphere_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Arc length between unit vectors."""
-    return math.acos(min(max(float(x @ y), -1.0), 1.0))
+def _degenerate(C: np.ndarray) -> np.ndarray:
+    """Rows of retracted candidates that hold NaN, retract's mark of a degenerate step."""
+    return np.isnan(C).reshape(len(C), -1).any(axis=1)
 
 
-def sphere_sqnorm(g: np.ndarray) -> float:
-    """||g||^2 as the MBLS descent test of the sphere methods computes it."""
-    return float(g @ g)
-
-
-def descend(x0, value, grad, retract, distance, sqnorm, step, max_iters, stop_tol,
-            angle=None, record_iterates=False) -> tuple[np.ndarray, Trace]:
+def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, stop_tol,
+            width=1, angle=None, record_iterates=False) -> list[tuple[np.ndarray, Trace]]:
     """The projected subgradient loop x <- retract(x - mu g) behind every method.
 
-    value(x) returns (f, aux) and grad(x, aux) the subgradient at x, or None
-    at a stationary point. retract(c) maps a step back onto the feasible set,
-    or returns None for a degenerate step, which raises ValueError. step is a
-    StepSchedule or a function k -> mu; a first step the schedule leaves open
-    becomes f(x0)/sqnorm(g(x0)), or 1 when that norm is 0, from the loop's own
-    first value and subgradient. MBLS reuses its accepted candidate's value as
-    the next iterate's. sqnorm(g) is the ||g||^2 of the first step and the
-    MBLS descent test, passed in because each method rounds it its own way
-    and the accept decisions depend on those bits. The run stops when
-    distance(x, x_new) < stop_tol or after max_iters steps. angle(x), when
-    given, is recorded for every iterate.
+    The loop steps a panel: an array of `width` slots, one problem per row,
+    each with its own value, step, MBLS accept mask, stop test and Trace. The
+    starts wait in a queue; when a problem stops, the next start takes its
+    slot. The callbacks act on the panel, and `rows` names its live slots:
+    value(X, rows) returns (f of those rows, aux), where aux is indexed by
+    slot, holds every row of X (or is None) and keeps what grad needs, so
+    the last value call of an iteration serves every live row's next
+    subgradient;
+    grad(X, aux, rows) returns the
+    subgradients of those rows, or None when every one of them is stationary;
+    retract(C) maps stepped rows back onto the feasible set, a row of NaN
+    marking a degenerate step, which raises ValueError; distance(X, Y) and
+    sqnorm(G) act row by row. value and grad may spend one product on the
+    whole panel, so an idle slot keeps its last iterate and step.
+
+    step is a StepSchedule or a function k -> mu; a first step the schedule
+    leaves open becomes f(x0)/sqnorm(g(x0)), or 1 when that norm is 0, from
+    the loop's own first value and subgradient. MBLS tries every live row's
+    candidate in one value call per backtracking round (a row that has
+    stopped searching recomputes the same bits), and a row reuses its
+    accepted candidate's value as the next iterate's. An open-loop step is
+    one such round without the descent test. sqnorm(g) is the
+    ||g||^2 of the first step and the MBLS descent test, passed in because
+    each method rounds it its own way and the accept decisions depend on
+    those bits. A problem stops when distance(x, x_new) < stop_tol or after
+    max_iters steps. angle(x), when given, is recorded for every iterate.
+    Returns (x, Trace) per start, in the order of `starts`.
     """
+    if max_iters < 1:
+        raise ValueError(f"invalid solver limits: max_iters >= 1, got {max_iters}")
     mbls = isinstance(step, MBLS)
-    rule = step if callable(step) else None
-    x = x0
-    f, aux = value(x)
-    objs: list[float] = []
-    steps: list[float] = []
-    backs: list[int] = []
-    angles: list[float] | None = [] if angle is not None else None
-    iterates: list[np.ndarray] | None = [] if record_iterates else None
+    X = np.zeros((width,) + np.shape(starts[0]))
+    F = np.zeros(width)
+    MU = np.zeros(width)
+    bshape = (-1,) + (1,) * (X.ndim - 1)
+    slots: list[_Run | None] = [None] * width
+    queue = iter(range(len(starts)))
+    results: list = [None] * len(starts)
 
-    def record():
-        objs.append(f)
-        if angles is not None:
-            angles.append(angle(x))
-        if iterates is not None:
-            iterates.append(x.copy())
+    def record(s):
+        run = slots[s]
+        run.objs.append(F[s])
+        if angle is not None:
+            run.angles.append(angle(X[s]))
+        if record_iterates:
+            run.iterates.append(X[s].copy())
 
-    record()
-    stop_reason = "max_iters"
-    for k in range(max_iters):
-        g = grad(x, aux)
-        if g is None:
-            stop_reason = "stationary"
-            break
-        if mbls or rule is None:
-            gn2 = sqnorm(g)
-        if rule is None:  # first iterate: an open first step comes from its f and g
-            rule = _resolve_step(step, f / gn2 if gn2 > 0 else 1.0)
-            mu_ls = rule.mu_init if mbls else None
+    def finish(s, reason):
+        run = slots[s]
+        results[run.index] = (X[s].copy(), Trace(
+            objective=np.asarray(run.objs),
+            step=np.asarray(run.steps),
+            angle=np.asarray(run.angles) if angle is not None else None,
+            iterates=np.asarray(run.iterates) if record_iterates else None,
+            backtracks=np.asarray(run.backs, dtype=int) if mbls else None,
+            stop_reason=reason,
+        ))
+        slots[s] = None
+
+    def degenerate(s):
+        i = slots[s].index
+        raise ValueError(f"degenerate step: the update of start {i} collapsed to the zero vector")
+
+    while True:
+        new = []
+        for s in range(width):
+            if slots[s] is None and (i := next(queue, None)) is not None:
+                slots[s] = _Run(i, angle, record_iterates)
+                X[s] = starts[i]
+                new.append(s)
+        if new:
+            F[new], AUX = value(X, np.array(new))
+            for s in new:
+                record(s)
+        act = np.array([s for s, run in enumerate(slots) if run is not None], dtype=int)
+        if not act.size:
+            return results
+        G = grad(X, AUX, act)
+        if G is None:
+            for s in act:
+                finish(s, "stationary")
+            continue
+        gn2 = sqnorm(G)
+        for j, s in enumerate(act):
+            run = slots[s]
+            if run.rule is None:  # first iterate: an open first step comes from its f and g
+                run.rule = _resolve_step(step, F[s] / gn2[j] if gn2[j] > 0 else 1.0, run.index)
+                if mbls:
+                    MU[s] = run.rule.mu_init
         if mbls:
-            mu = mu_ls
-            n_back = 0
-            while True:
-                cand = retract(x - mu * g)
-                descent = False
-                if cand is not None:
-                    f_new, aux_new = value(cand)
-                    descent = f_new <= f - step.alpha * mu * gn2
-                if descent or n_back >= step.max_backtracks:
-                    break
-                mu *= step.shrink
-                n_back += 1
-            mu_ls = mu * step.grow
-            backs.append(n_back)
+            mu, alpha, max_back = MU[act], step.alpha, step.max_backtracks
         else:
-            mu = rule(k)
-            cand = retract(x - mu * g)
-        if cand is None:
-            raise ValueError("degenerate step: update collapsed to the zero vector")
-        if not mbls:
-            f_new, aux_new = value(cand)
-        steps.append(mu)
-        movement = distance(x, cand)
-        x, f, aux = cand, f_new, aux_new
-        record()
-        if movement < stop_tol:
-            stop_reason = "backtracks_exhausted" if mbls and not descent else "converged"
-            break
+            mu, alpha, max_back = np.array([slots[s].rule(slots[s].k) for s in act]), 0.0, 0
+        C = X.copy()
+        f_new = np.full(len(act), np.nan)
+        nback = np.zeros(len(act), dtype=int)
+        while True:
+            C[act] = retract(X[act] - mu.reshape(bshape) * G)
+            ok = ~_degenerate(C[act])
+            lost = ~ok & (nback >= max_back)
+            if lost.any():
+                degenerate(act[lost][0])
+            f_new[ok], AUX = value(C, act[ok])
+            descent = ok & (f_new <= F[act] - alpha * mu * gn2)
+            searching = ~descent & (nback < max_back)
+            if not searching.any():
+                break
+            mu[searching] *= step.shrink
+            nback[searching] += 1
+        if mbls:
+            MU[act] = mu * step.grow
+        moved = C[act]
+        stopped = (distance(X[act], moved) < stop_tol).tolist()
+        X[act] = moved
+        F[act] = f_new
+        for s, mu_s, n_s, desc_s, stop_s in zip(
+                act.tolist(), mu.tolist(), nback.tolist(), descent.tolist(), stopped):
+            run = slots[s]
+            run.steps.append(mu_s)
+            if mbls:
+                run.backs.append(n_s)
+            run.k += 1
+            record(s)
+            if stop_s:
+                finish(s, "backtracks_exhausted" if mbls and not desc_s else "converged")
+            elif run.k >= max_iters:
+                finish(s, "max_iters")
 
-    trace = Trace(
-        objective=np.asarray(objs),
-        step=np.asarray(steps),
-        angle=np.asarray(angles) if angles is not None else None,
-        iterates=np.asarray(iterates) if iterates is not None else None,
-        backtracks=np.asarray(backs, dtype=int) if mbls else None,
-        stop_reason=stop_reason,
+
+def _sphere_retract(C: np.ndarray) -> np.ndarray:
+    """Normalize each row back onto the unit sphere; a row that hit zero comes
+    back NaN."""
+    nc = np.linalg.norm(C, axis=1, keepdims=True)
+    return np.divide(C, nc, out=np.full_like(C, np.nan), where=nc > 0)
+
+
+def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", X, Y)
+
+
+def _sphere_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Arc length between matching unit rows."""
+    return np.arccos(np.clip(_row_dots(X, Y), -1.0, 1.0))
+
+
+def _unit_start(matrix: DataMatrix, b0) -> np.ndarray:
+    b = np.asarray(b0, dtype=float)
+    if b.shape != (matrix.ambient_dim,):
+        raise ValueError("b0 must match the ambient dimension")
+    nb = np.linalg.norm(b)
+    if abs(nb - 1.0) > _UNIT_TOL:
+        raise ValueError("b0 must have unit norm")
+    return b / nb
+
+
+def _psgm_panel(matrix: DataMatrix, starts: list[np.ndarray], config: SolverConfig,
+                model: SubspaceModel | None) -> list[tuple[np.ndarray, Trace]]:
+    """Run one psgm instance per start through a panel of PANEL_WIDTH rows.
+
+    The two products, S = X A for the values and A sgn(S)^T for the
+    subgradients, always span the whole panel and read the C-contiguous
+    points in place, without a copy of A^T; signs, sums and everything else
+    act on live rows only.
+    """
+    A = matrix.points
+    signs = np.zeros((PANEL_WIDTH, A.shape[1]))
+
+    def value(X, rows):
+        S = X @ A
+        return np.abs(S[rows]).sum(axis=1), S
+
+    def grad(X, S, rows):
+        signs[rows] = np.sign(S[rows])
+        return (A @ signs.T).T[rows]
+
+    def angle(x):
+        h = np.linalg.norm(model.basis_Sperp.T @ x)
+        return float(np.arccos(min(max(h, -1.0), 1.0)))
+
+    return descend(
+        starts, value, grad, _sphere_retract, _sphere_distance, lambda G: _row_dots(G, G),
+        config.schedule, config.max_iters, config.stop_tol, width=PANEL_WIDTH,
+        angle=angle if model is not None else None, record_iterates=config.record_iterates,
     )
-    return x, trace
 
 
 def psgm_single(
@@ -349,34 +458,14 @@ def psgm_single(
     config: SolverConfig,
     model: SubspaceModel | None = None,
 ) -> tuple[np.ndarray, Trace]:
-    """Run one projected subgradient instance from b0.
+    """Run one projected subgradient instance from b0: the one-start case of
+    psgm_multi's panel, so its bits equal that instance's column and trace.
 
     Iterates b <- normalize(b - mu g) until the rotation between successive
     iterates drops below config.stop_tol or max_iters is reached. Returns the
     final unit vector and the full trace.
     """
-    A = matrix.points
-    b = np.asarray(b0, dtype=float).copy()
-    if b.shape != (matrix.ambient_dim,):
-        raise ValueError("b0 must match the ambient dimension")
-    nb = np.linalg.norm(b)
-    if abs(nb - 1.0) > _UNIT_TOL:
-        raise ValueError("b0 must have unit norm")
-    b /= nb
-
-    def value(x):
-        s = A.T @ x
-        return float(np.abs(s).sum()), s
-
-    def angle(x):
-        h = np.linalg.norm(model.basis_Sperp.T @ x)
-        return float(np.arccos(min(max(h, -1.0), 1.0)))
-
-    return descend(
-        b, value, lambda x, s: A @ np.sign(s), sphere_retract, sphere_distance, sphere_sqnorm,
-        config.schedule, config.max_iters, config.stop_tol,
-        angle=angle if model is not None else None, record_iterates=config.record_iterates,
-    )
+    return _psgm_panel(matrix, [_unit_start(matrix, b0)], config, model)[0]
 
 
 def psgm_multi(
@@ -387,8 +476,8 @@ def psgm_multi(
     """Run config.c_prime independent instances from uniform random unit starts.
 
     Instance i draws its start from the i-th child of SeedSequence(config.seed),
-    so runs are reproducible and any sub-list of instances matches a smaller
-    c_prime run with the same master seed.
+    so runs are reproducible and any prefix of instances matches a smaller
+    c_prime run with the same master seed, bit for bit.
     """
     schedule = config.schedule
     mu0 = schedule.params.mu0 if isinstance(schedule, PiecewiseGeometric) else None
@@ -396,19 +485,11 @@ def psgm_multi(
         raise ValueError(
             f"per-instance mu0 has {len(mu0)} entries for c_prime = {config.c_prime} instances"
         )
-    children = np.random.SeedSequence(config.seed).spawn(config.c_prime)
-    cols: list[np.ndarray] = []
-    traces: list[Trace] = []
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        b0 = unit_sphere_columns(rng, matrix.ambient_dim, 1)[:, 0]
-        if isinstance(mu0, tuple):
-            schedule = PiecewiseGeometric(dataclasses.replace(config.schedule.params, mu0=mu0[i]))
-        cfg_i = dataclasses.replace(config, schedule=schedule)
-        try:
-            b, tr = psgm_single(matrix, b0, cfg_i, model=model)
-        except ValueError as e:
-            raise ValueError(f"instance {i}: {e}") from e
-        cols.append(b)
-        traces.append(tr)
-    return DualBasis(columns=np.column_stack(cols), traces=tuple(traces))
+    starts = [
+        _unit_start(matrix, unit_sphere_columns(np.random.default_rng(child),
+                                                matrix.ambient_dim, 1)[:, 0])
+        for child in np.random.SeedSequence(config.seed).spawn(config.c_prime)
+    ]
+    runs = _psgm_panel(matrix, starts, config, model)
+    return DualBasis(columns=np.column_stack([b for b, _ in runs]),
+                     traces=tuple(tr for _, tr in runs))

@@ -2,10 +2,14 @@
 
 Everything here is an independent re-derivation of a quantity the package
 computes in closed form: Monte Carlo means, finite differences, brute-force
-grids, and direct series summation. Slow but obviously correct. The one
-exception is CountingArray, which counts the matrix products a run spends.
+grids, and direct series summation. Slow but obviously correct. The
+exceptions are CountingArray, which counts the matrix products a run spends,
+and panel_value_and_grad/default_mu0, which repeat the solver's own
+width-PANEL_WIDTH arithmetic so tests can compare against it bit for bit.
 """
 import numpy as np
+
+from dpcp.solver import PANEL_WIDTH
 
 
 def mc_hemisphere_height(k, n_samples=1_000_000, seed=0, chunk=100_000):
@@ -121,3 +125,21 @@ def count_products(matrix):
     view.counter = [0]
     object.__setattr__(matrix, "points", view)
     return view.counter
+
+
+def panel_value_and_grad(matrix, b):
+    """f(b), g(b) and ||g(b)||^2 of unit b as a psgm panel computes them: b in
+    one row of a PANEL_WIDTH-row block, both products at that width."""
+    A = matrix.points
+    X = np.zeros((PANEL_WIDTH, A.shape[0]))
+    X[0] = b
+    S = X @ A
+    g = (np.sign(S) @ A.T)[:1]
+    return np.abs(S[:1]).sum(axis=1)[0], g[0], np.einsum("ij,ij->i", g, g)[0]
+
+
+def default_mu0(matrix, b0):
+    """The automatic first step f(b0)/||g(b0)||^2 of a psgm instance, or 1
+    when g(b0) = 0."""
+    f, _, n2 = panel_value_and_grad(matrix, b0)
+    return f / n2 if n2 > 0 else 1.0

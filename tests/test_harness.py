@@ -255,6 +255,17 @@ def test_load_results_rejects_unknown_cell_columns(tmp_path):
     assert back.kind == "codim_sweep" and back.rows == []
 
 
+def test_load_results_rejects_truncated_rows(tmp_path):
+    p = tmp_path / "codim.csv"
+    persist(_tiny_table(), p)
+    lines = p.read_text().splitlines()
+    # the second row stops after its wall_time: no error and no report field
+    lines[2] = ",".join(lines[2].split(",")[:6])
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"line 3 has 6 fields, the header has 8"):
+        load_results(p)
+
+
 def test_write_plotdata_headers(tmp_path):
     table = _tiny_table()
     p = tmp_path / "plot.tsv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,16 +11,17 @@ from dpcp.dataset import (
     sample_haar_subspace,
     unit_sphere_columns,
 )
-from dpcp.geometry import GeometryStats, ScheduleParams, mu_prime
+from dpcp.geometry import ScheduleParams
 from dpcp.solver import (
     MBLS,
+    PANEL_WIDTH,
     Constant,
     DualBasis,
     PiecewiseGeometric,
     SolverConfig,
     Trace,
     average_terms,
-    default_mu0,
+    descend,
     objective,
     psgm_multi,
     psgm_single,
@@ -28,7 +30,13 @@ from dpcp.solver import (
     trace_to_csv,
 )
 
-from helpers import brute_objective, count_products, rand_unit
+from helpers import (
+    brute_objective,
+    count_products,
+    default_mu0,
+    panel_value_and_grad,
+    rand_unit,
+)
 
 
 def test_schedule_validation():
@@ -106,16 +114,14 @@ def test_average_terms_recompose_subgradient():
         average_terms(DataMatrix(points=data.points), b)
 
 
-def test_default_mu0_and_clipping():
+def test_default_mu0_matches_objective_over_subgradient():
+    # the width-16 reference agrees with the matrix-vector formulas up to rounding
     model = sample_haar_subspace(5, 3, seed=2)
     data = generate_dataset(model, N=30, M=20, seed=3)
     b0 = rand_unit(np.random.default_rng(0), 5)
     g = subgradient(data, b0)
-    assert abs(default_mu0(data, b0) - objective(data, b0) / float(g @ g)) < 1e-15
-    tight = GeometryStats(c_X_min=1.0, c_X_max=1.0, c_O_min=1.0, c_O_max=1.0,
-                          eta_X=0.0, eta_O=0.0, c_d=1.0, c_D=1.0)
-    clipped = default_mu0(data, b0, stats=tight)
-    assert clipped == min(default_mu0(data, b0), mu_prime(tight, 30, 20))
+    ref = objective(data, b0) / float(g @ g)
+    assert abs(default_mu0(data, b0) - ref) <= 1e-14 * ref
 
 
 def _line_dataset(n=50):
@@ -256,6 +262,100 @@ def test_psgm_single_mbls_products_per_iteration():
     assert products[0] == 2 * trace.n_iterations + int(trace.backtracks.sum()) + 1
     # the first trial step is f(b0)/||g(b0)||^2, halved once per backtrack
     assert trace.step[0] == mu0 * 0.5 ** trace.backtracks[0]
+
+
+def _starts(D, c_prime, seed):
+    """The unit starts psgm_multi draws for its instances."""
+    return [unit_sphere_columns(np.random.default_rng(child), D, 1)[:, 0]
+            for child in np.random.SeedSequence(seed).spawn(c_prime)]
+
+
+def _same_trace(a, b):
+    return (np.array_equal(a.objective, b.objective) and np.array_equal(a.step, b.step)
+            and np.array_equal(a.backtracks, b.backtracks) and a.stop_reason == b.stop_reason)
+
+
+def _d30_data():
+    # D=30 is a shape where the width of a product changes its bits
+    model = sample_haar_subspace(30, 26, seed=11)
+    return generate_dataset(model, N=240, M=160, seed=12)
+
+
+def test_panel_bits_depend_only_on_the_start():
+    data = _d30_data()
+    n = 2 * PANEL_WIDTH + 3  # slots refill across two panel boundaries
+    cfg = SolverConfig(c_prime=n, seed=5, max_iters=300)
+    big = psgm_multi(data, cfg)
+    assert len({tr.n_iterations for tr in big.traces}) > 1
+    small = psgm_multi(data, dataclasses.replace(cfg, c_prime=3))
+    assert np.array_equal(big.columns[:, :3], small.columns)
+    assert all(_same_trace(a, b) for a, b in zip(big.traces, small.traces))
+    starts = _starts(30, n, 5)
+    for i in (0, 1, PANEL_WIDTH, n - 1):
+        b, trace = psgm_single(data, starts[i], cfg)
+        assert np.array_equal(b, big.columns[:, i]) and _same_trace(trace, big.traces[i])
+
+
+def test_psgm_multi_mbls_descent_on_every_accepted_step():
+    data = _d30_data()
+    sched = MBLS()
+    cfg = SolverConfig(c_prime=PANEL_WIDTH + 4, seed=8, max_iters=50, record_iterates=True,
+                       schedule=sched)
+    basis = psgm_multi(data, cfg)
+    checked = 0
+    for tr in basis.traces:
+        for k in range(tr.n_iterations):
+            if tr.backtracks[k] < sched.max_backtracks:  # stopped searching on a descent
+                f, _, gn2 = panel_value_and_grad(data, tr.iterates[k])
+                assert f == tr.objective[k]
+                assert tr.objective[k + 1] <= f - sched.alpha * tr.step[k] * gn2
+                checked += 1
+        if tr.stop_reason == "max_iters":
+            assert tr.n_iterations == cfg.max_iters
+        else:
+            assert tr.stop_reason == "converged" and tr.n_iterations < cfg.max_iters
+            assert np.linalg.norm(tr.iterates[-1] - tr.iterates[-2]) < 1e-7
+    assert checked > 100
+    assert {tr.stop_reason for tr in basis.traces} == {"converged", "max_iters"}
+
+
+class _PanelRecorder(np.ndarray):
+    """ndarray view that keeps a copy of the left operand of every product
+    with it or with its transpose."""
+
+    def __array_finalize__(self, obj):
+        self.panels = getattr(obj, "panels", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[1] is self and self.panels is not None:
+            self.panels.append(np.array(inputs[0]))
+        inputs = [x.view(np.ndarray) if isinstance(x, _PanelRecorder) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_finished_and_unused_slots_stay_frozen():
+    data = _d30_data()
+    cfg = SolverConfig(c_prime=3, seed=5, max_iters=300)
+    ref = psgm_multi(data, cfg)
+    view = data.points.view(_PanelRecorder)
+    view.panels = []
+    object.__setattr__(data, "points", view)
+    basis = psgm_multi(data, cfg)
+    assert np.array_equal(basis.columns, ref.columns)
+    panels = [P for P in view.panels if P.shape[1] == 30]  # the X of X @ A, not sgn(S) @ A^T
+    assert all(P.shape[0] == PANEL_WIDTH and np.isfinite(P).all() for P in panels)
+    assert all(not P[3:].any() for P in panels)  # slots no start reached
+    iters = [tr.n_iterations for tr in basis.traces]
+    last = int(np.argmax(iters))
+    for i in range(3):
+        if i != last:  # a finished instance's slot keeps its final iterate to the end
+            assert np.array_equal(panels[-1][i], basis.columns[:, i])
+    assert len(set(iters)) == 3
+
+
+def test_descend_rejects_an_empty_iteration_budget():
+    with pytest.raises(ValueError, match="max_iters >= 1"):
+        descend([np.array([0.6, 0.8])], None, None, None, None, None, Constant(0.1), 0, 0.0)
 
 
 def test_trace_to_csv(tmp_path):
