@@ -52,6 +52,20 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stop-tol", type=float, default=1e-9)
 
 
+def _add_input_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--in", dest="input", required=required, help="dataset CSV")
+    p.add_argument("--orientation", choices=["points", "dims"], default="points")
+    p.add_argument("--normalize", action="store_true")
+
+
+def _add_basis_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cprime", type=int, required=True)
+    p.add_argument("--rank-strategy", dest="strategy", choices=["gap", "threshold"], default="gap")
+    p.add_argument("--tau", type=float, default=0.05)
+    p.add_argument("--out-basis")
+    p.add_argument("--out-report")
+
+
 def _cmd_gen(args) -> int:
     seed = _resolve_seed(args.seed)
     print(f"seed={seed}")
@@ -228,34 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("solve", help="multi-instance subgradient pursuit on a CSV dataset")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--orientation", choices=["points", "dims"], default="points")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--cprime", type=int, required=True)
+    _add_input_flags(p)
+    _add_basis_flags(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--rank-strategy", dest="strategy", choices=["gap", "threshold"], default="gap")
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--out-basis")
-    p.add_argument("--out-report")
     _add_schedule_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("rsgm", help="orthogonality-constrained baseline on a CSV dataset")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--orientation", choices=["points", "dims"], default="points")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--cprime", type=int, required=True)
-    p.add_argument("--rank-strategy", dest="strategy", choices=["gap", "threshold"], default="gap")
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--out-basis")
-    p.add_argument("--out-report")
+    _add_input_flags(p)
+    _add_basis_flags(p)
     _add_schedule_flags(p)
     p.set_defaults(func=_cmd_rsgm)
 
     p = sub.add_parser("geometry", help="estimate permeance/coverage statistics")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--orientation", choices=["points", "dims"], default="points")
-    p.add_argument("--normalize", action="store_true")
+    _add_input_flags(p)
     p.add_argument("--d", type=int, help="inlier dimension (default: numerical rank)")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
@@ -263,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="evaluate the recovery conditions")
     p.add_argument("--stats", help="stats JSON produced by the geometry command")
-    p.add_argument("--in", dest="input", help="labeled CSV to estimate stats from")
-    p.add_argument("--orientation", choices=["points", "dims"], default="points")
-    p.add_argument("--normalize", action="store_true")
+    _add_input_flags(p, required=False)
     p.add_argument("--d", type=int)
     p.add_argument("--N", type=int)
     p.add_argument("--M", type=int)

@@ -3,12 +3,12 @@
 A dataset is a D x (N+M) matrix whose columns are points: N inliers spanning a
 d-dimensional subspace S and M outliers spread over the full ambient sphere.
 Generation is seeded and reproducible bit for bit; all containers are frozen
-after construction.
+after construction. CSV files are written with one "%.17g" row format and
+read with one np.loadtxt call, so a saved dataset loads back bit for bit.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -211,41 +211,42 @@ def normalize_columns(matrix: DataMatrix) -> DataMatrix:
 
 
 _LABEL_SHORT = {INLIER: "in", OUTLIER: "out"}
-_LABEL_LONG = {"in": INLIER, "out": OUTLIER}
+_LABEL_CODE = {"in": 1.0, "out": 0.0}
 
 
 def save_csv(matrix: DataMatrix, path: str, orientation: str = "points") -> None:
-    """Write a dataset as CSV at 17 significant digits.
+    """Write a dataset as CSV at 17 significant digits with CRLF line ends.
 
     orientation="points" (default): one row per point, header x0..x{D-1} and a
     trailing "label" column when labels are present. orientation="dims": one
     row per ambient dimension, no header and no labels.
     """
     pts = matrix.points
+    if orientation == "points":
+        rows, header = pts.T, [f"x{i}" for i in range(pts.shape[0])]
+    elif orientation == "dims":
+        rows, header = pts, []
+    else:
+        raise ValueError(f"unknown orientation {orientation!r}; use 'points' or 'dims'")
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    tags = [()] * rows.shape[0]
+    if orientation == "points" and matrix.labels is not None:
+        header.append("label")
+        fmt += ",%s"
+        tags = [(_LABEL_SHORT[label],) for label in matrix.labels]
+    fmt += "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if orientation == "points":
-            header = [f"x{i}" for i in range(pts.shape[0])]
-            if matrix.labels is not None:
-                header.append("label")
-            w.writerow(header)
-            for j in range(pts.shape[1]):
-                row = [format(v, ".17g") for v in pts[:, j]]
-                if matrix.labels is not None:
-                    row.append(_LABEL_SHORT[str(matrix.labels[j])])
-                w.writerow(row)
-        elif orientation == "dims":
-            for i in range(pts.shape[0]):
-                w.writerow([format(v, ".17g") for v in pts[i, :]])
-        else:
-            raise ValueError(f"unknown orientation {orientation!r}; use 'points' or 'dims'")
+        if header:
+            fh.write(",".join(header) + "\r\n")
+        fh.writelines(fmt % (*row.tolist(), *tag) for row, tag in zip(rows, tags))
 
 
-def _parse_cell(cell: str, where: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise CsvFormatError(f"{where}: non-numeric value {cell!r}") from None
+def _next_line(fh) -> tuple[str, int]:
+    """The next non-blank line ("" at the end of the file) and how many lines were read."""
+    line, read = fh.readline(), 1
+    while line == "\n":
+        line, read = fh.readline(), read + 1
+    return line, read
 
 
 def load_csv(path: str, orientation: str = "points") -> DataMatrix:
@@ -254,56 +255,43 @@ def load_csv(path: str, orientation: str = "points") -> DataMatrix:
     A first row whose leading cell does not parse as a number is treated as a
     header. In "points" orientation a trailing "label" column (values in/out)
     is recognized either from the header or, headerless, from the first row.
-    The unit_normalized flag is recomputed from the loaded column norms.
+    The rows go to one np.loadtxt call: blank lines are skipped, cells may be
+    quoted or padded with spaces, and "#" does not start a comment. Malformed
+    rows raise CsvFormatError. The unit_normalized flag is recomputed from the
+    loaded column norms.
     """
     if orientation not in ("points", "dims"):
         raise ValueError(f"unknown orientation {orientation!r}; use 'points' or 'dims'")
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise CsvFormatError("empty file")
-
-    def _is_number(cell: str) -> bool:
+    with open(path) as fh:
+        line, skip = _next_line(fh)
+        if not line:
+            raise CsvFormatError("empty file")
+        first = [cell.strip().strip('"') for cell in line.split(",")]
         try:
-            float(cell)
-            return True
+            float(first[0])
+            header = False
+            skip -= 1  # the first line is data
         except ValueError:
-            return False
-
-    header: list[str] | None = None
-    if not _is_number(rows[0][0].strip()):
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
+            header = True
+        if header and not _next_line(fh)[0]:
             raise CsvFormatError("no data rows after header")
+        has_label = orientation == "points" and (
+            first[-1].lower() == "label" if header else first[-1] in _LABEL_CODE
+        )
+        fh.seek(0)
+        try:
+            values = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar='"', ndmin=2, skiprows=skip,
+                converters={-1: lambda cell: _LABEL_CODE[cell.strip()]} if has_label else None,
+            )
+        except ValueError as e:
+            raise CsvFormatError(str(e)) from None
 
-    has_label = False
-    if orientation == "points":
-        if header is not None:
-            has_label = header[-1].lower() == "label"
-        else:
-            has_label = rows[0][-1].strip() in _LABEL_LONG
-
-    width = len(rows[0])
-    values = np.empty((len(rows), width - (1 if has_label else 0)))
-    labels: list[str] | None = [] if has_label else None
-    for i, row in enumerate(rows):
-        where = f"row {i + 1}"
-        if len(row) != width:
-            raise CsvFormatError(f"{where}: expected {width} fields, got {len(row)}")
-        if has_label:
-            tag = row[-1].strip()
-            if tag not in _LABEL_LONG:
-                raise CsvFormatError(f"{where}: bad label {tag!r}; expected 'in' or 'out'")
-            labels.append(_LABEL_LONG[tag])
-            row = row[:-1]
-        values[i] = [_parse_cell(c.strip(), where) for c in row]
-
+    labels = None
+    if has_label:
+        labels = np.where(values[:, -1] == _LABEL_CODE["in"], INLIER, OUTLIER)
+        values = values[:, :-1]
     pts = values.T if orientation == "points" else values
     norms = np.linalg.norm(pts, axis=0)
     unit = bool(np.all(np.abs(norms - 1.0) <= _UNIT_TOL))
-    return DataMatrix(
-        points=pts,
-        labels=np.array(labels) if labels else None,
-        unit_normalized=unit,
-    )
+    return DataMatrix(points=pts, labels=labels, unit_normalized=unit)

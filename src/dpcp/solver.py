@@ -194,15 +194,14 @@ def objective(matrix: DataMatrix, basis) -> float:
     return float(np.abs(matrix.points.T @ B).sum())
 
 
-def subgradient(matrix: DataMatrix, b: np.ndarray, sgn_zero_is_zero: bool = True) -> np.ndarray:
-    """g = A sgn(A^T b) for unit b; the zero-crossing rows contribute zero by default."""
+def subgradient(matrix: DataMatrix, b: np.ndarray) -> np.ndarray:
+    """g = A sgn(A^T b) for unit b; the zero-crossing rows contribute zero."""
     b = np.asarray(b, dtype=float)
     if b.shape != (matrix.ambient_dim,):
         raise ValueError("b must be a vector matching the ambient dimension")
     if abs(np.linalg.norm(b) - 1.0) > _UNIT_TOL:
         raise ValueError("b must have unit norm")
-    s = matrix.points.T @ b
-    return matrix.points @ (np.sign(s) if sgn_zero_is_zero else np.where(s >= 0, 1.0, -1.0))
+    return matrix.points @ np.sign(matrix.points.T @ b)
 
 
 def average_terms(matrix: DataMatrix, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

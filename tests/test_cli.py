@@ -182,7 +182,7 @@ def test_grid_command_runs_config_and_rejects_kind_mismatch(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
 
 
-def test_dispatch_usage_and_runtime_exit_codes(dataset, capsys):
+def test_dispatch_usage_and_runtime_exit_codes(dataset, tmp_path, capsys):
     code, _, _ = run_cli(["frobnicate"], capsys)
     assert code == 1
     code, _, _ = run_cli(["solve", "--cprime", "2"], capsys)  # missing --in
@@ -191,6 +191,11 @@ def test_dispatch_usage_and_runtime_exit_codes(dataset, capsys):
                             "--schedule", "const"], capsys)
     assert code == 2
     assert "needs a numeric --mu0" in err
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x0,x1\n1.0,zap\n")
+    code, _, err = run_cli(["solve", "--in", str(bad), "--cprime", "2"], capsys)
+    assert code == 2
+    assert "error:" in err and "'zap'" in err
 
 
 def test_module_entry_point_runs_a_command(tmp_path):

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpcp.dataset import (
     INLIER,
@@ -194,6 +196,42 @@ def test_csv_roundtrip_dims_orientation(tmp_path):
     assert back.labels is None
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pts=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        # |x| <= 1e100: near 1e154 the unit-norm check in load_csv overflows
+        elements=st.floats(-1e100, 1e100) | st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308]),
+    ),
+    orientation=st.sampled_from(["points", "dims"]),
+    data=st.data(),
+)
+def test_csv_roundtrip_bits_and_bytes(tmp_path, pts, orientation, data):
+    tags = st.lists(st.sampled_from([INLIER, OUTLIER]), min_size=pts.shape[1], max_size=pts.shape[1])
+    labels = data.draw(st.none() | tags.map(np.array))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    save_csv(DataMatrix(points=pts, labels=labels), str(first), orientation=orientation)
+    back = load_csv(str(first), orientation=orientation)
+    assert np.array_equal(back.points.view(np.int64), pts.view(np.int64))
+    if orientation == "points" and labels is not None:
+        assert np.array_equal(back.labels, labels)
+    else:
+        assert back.labels is None
+    save_csv(back, str(second), orientation=orientation)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_load_csv_accepts_blank_lines_spaces_quotes_and_line_ends(tmp_path):
+    p = tmp_path / "hand.csv"
+    p.write_bytes(b'\r\n"x0", x1 ,"label"\r\n\r\n 0.6 ,"0.8", in \r\n\n"1",0,"out"\n\n')
+    back = load_csv(str(p))
+    assert np.array_equal(back.points, [[0.6, 1.0], [0.8, 0.0]])
+    assert list(back.labels) == [INLIER, OUTLIER]
+    assert back.unit_normalized
+
+
 def test_load_csv_headerless_label_detection(tmp_path):
     p = tmp_path / "raw.csv"
     p.write_text("1.0,0.0,in\n0.0,1.0,out\n")
@@ -204,21 +242,22 @@ def test_load_csv_headerless_label_detection(tmp_path):
 
 def test_load_csv_format_errors(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("")
-    with pytest.raises(CsvFormatError, match="empty file"):
-        load_csv(str(p))
-    p.write_text("x0,x1\n")
-    with pytest.raises(CsvFormatError, match="no data rows"):
-        load_csv(str(p))
-    p.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(CsvFormatError, match="row 2: expected 2 fields, got 1"):
-        load_csv(str(p))
-    p.write_text("1.0,zap\n")
-    with pytest.raises(CsvFormatError, match="non-numeric value 'zap'"):
-        load_csv(str(p))
-    p.write_text("x0,label\n1.0,maybe\n")
-    with pytest.raises(CsvFormatError, match="bad label"):
-        load_csv(str(p))
+    cases = [
+        ("", "empty file"),
+        ("x0,x1\n", "no data rows"),  # loadtxt would warn "input contained no data"
+        ("1.0,2.0\n3.0\n", "from 2 to 1 at row 2"),
+        ("1.0,2.0\n3.0,4.0,5.0\n", "from 2 to 3 at row 2"),
+        ("1.0,zap\n", "'zap'"),
+        ("1.0,2.0#3\n", "'2.0#3'"),  # '#' does not start a comment
+        ("x0,label\n1.0,maybe\n", "'maybe'"),
+        ("1.0,in\n2.0,out\n3.0,maybe\n", "'maybe'"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text, message in cases:
+            p.write_text(text)
+            with pytest.raises(CsvFormatError, match=message):
+                load_csv(str(p))
     with pytest.raises(ValueError, match="unknown orientation"):
         load_csv(str(p), orientation="cols")
     with pytest.raises(ValueError, match="unknown orientation"):

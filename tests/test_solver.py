@@ -94,9 +94,8 @@ def test_subgradient_formula_and_zero_convention():
     pts = np.array([[1.0, 0.0], [0.0, 1.0]])  # e1, e2
     m = DataMatrix(points=pts)
     b = np.array([1.0, 0.0])
-    # e2 is orthogonal to b: contributes 0 under the default convention
+    # e2 is orthogonal to b: contributes 0 under the sgn(0) = 0 convention
     assert np.allclose(subgradient(m, b), [1.0, 0.0])
-    assert np.allclose(subgradient(m, b, sgn_zero_is_zero=False), [1.0, 1.0])
     with pytest.raises(ValueError, match="unit norm"):
         subgradient(m, np.array([2.0, 0.0]))
     with pytest.raises(ValueError, match="ambient"):
