@@ -143,32 +143,29 @@ def max_subspace_angle(basis, target: np.ndarray) -> float:
     return float(np.arccos(np.clip(s.min(), 0.0, 1.0)))
 
 
-def classify_outliers(matrix: DataMatrix, complement_basis, threshold="auto") -> np.ndarray:
+def classify_outliers(matrix: DataMatrix, complement_basis) -> np.ndarray:
     """Label each column by its coherence with the recovered complement.
 
-    score_j = ||basis^T p_j||_2; a column is an outlier iff score > t. With
-    threshold="auto", t splits the largest gap in the sorted log scores
-    (scores floored at 1e-9 of the largest, so exact zeros cluster together);
-    if every raw gap is below 1e-6 no column is called an outlier. The gap is
-    taken multiplicatively because inlier scores sit orders of magnitude below
-    outlier scores, while absolute spacings are largest among the top order
-    statistics of the outliers.
+    score_j = ||basis^T p_j||_2; a column is an outlier iff score > t, where t
+    splits the largest gap in the sorted log scores (scores floored at 1e-9 of
+    the largest, so exact zeros cluster together); if every raw gap is below
+    1e-6 no column is called an outlier. The gap is taken multiplicatively
+    because inlier scores sit orders of magnitude below outlier scores, while
+    absolute spacings are largest among the top order statistics of the
+    outliers.
     """
     B = _basis_array(complement_basis)
     if B.shape[0] != matrix.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     scores = np.linalg.norm(B.T @ matrix.points, axis=0)
-    if threshold == "auto":
-        order = np.sort(scores)
-        gaps = np.diff(order)
-        if gaps.size == 0 or gaps.max() < 1e-6:
-            t = np.inf
-        else:
-            floored = np.maximum(order, 1e-9 * order[-1])
-            i = int(np.argmax(np.diff(np.log(floored))))
-            t = math.sqrt(floored[i] * floored[i + 1])
+    order = np.sort(scores)
+    gaps = np.diff(order)
+    if gaps.size == 0 or gaps.max() < 1e-6:
+        t = np.inf
     else:
-        t = float(threshold)
+        floored = np.maximum(order, 1e-9 * order[-1])
+        i = int(np.argmax(np.diff(np.log(floored))))
+        t = math.sqrt(floored[i] * floored[i + 1])
     return np.where(scores > t, OUTLIER, INLIER)
 
 
@@ -217,7 +214,6 @@ def recovery_report(
     matrix: DataMatrix | None = None,
     strategy: str = "gap",
     tau: float = 0.05,
-    threshold="auto",
 ) -> RecoveryReport:
     """Condense a solve into estimated codimension, distances, and outlier scores.
 
@@ -234,7 +230,7 @@ def recovery_report(
         if rank == model.codim:
             proc = subspace_distance(Q, model.basis_Sperp)
     if matrix is not None and matrix.labels is not None:
-        predicted = classify_outliers(matrix, Q, threshold=threshold)
+        predicted = classify_outliers(matrix, Q)
         prec, rec, f1 = f1_score(predicted, matrix.labels)
     return RecoveryReport(
         estimated_codim=rank,

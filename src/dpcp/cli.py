@@ -82,7 +82,7 @@ def derive(seed: int, tag: str) -> int:
 
 def _load_input(args) -> DataMatrix:
     matrix = load_csv(args.input, orientation=args.orientation)
-    if not matrix.unit_normalized and getattr(args, "normalize", False):
+    if not matrix.unit_normalized and args.normalize:
         matrix = normalize_columns(matrix)
     return matrix
 
@@ -138,14 +138,19 @@ def _estimate_model(matrix: DataMatrix, d: int | None):
     return SubspaceModel(basis_S=u[:, :d], basis_Sperp=u[:, d:])
 
 
-def _cmd_geometry(args) -> int:
+def _stats_from_input(args) -> tuple[DataMatrix, geometry.GeometryStats]:
+    """Print the resolved seed, load --in, check that its columns are unit and
+    estimate the stats against the model of its labeled inliers."""
     seed = _resolve_seed(args.seed)
     print(f"seed={seed}")
     matrix = _load_input(args)
     if not matrix.unit_normalized:
         raise ValueError("geometry statistics expect unit columns; pass --normalize")
-    model = _estimate_model(matrix, args.d)
-    stats = geometry.estimate_stats(matrix, model, seed=seed)
+    return matrix, geometry.estimate_stats(matrix, _estimate_model(matrix, args.d), seed=seed)
+
+
+def _cmd_geometry(args) -> int:
+    _, stats = _stats_from_input(args)
     sys.stdout.write(to_kv(stats))
     if args.out:
         with open(args.out, "w") as fh:
@@ -155,20 +160,18 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    print("seed=deterministic (condition evaluation)")
     if args.stats:
+        print("seed=deterministic (condition evaluation)")
         stats = geometry.GeometryStats(**fields_from_json(geometry.GeometryStats, args.stats))
         N, M = args.N, args.M
         if N is None or M is None:
             raise ValueError("--N and --M are required with --stats")
-    else:
-        if not args.input:
-            raise ValueError("pass --stats stats.json or --in data.csv")
-        matrix = _load_input(args)
-        model = _estimate_model(matrix, args.d)
-        stats = geometry.estimate_stats(matrix, model, seed=_resolve_seed(args.seed))
+    elif args.input:
+        matrix, stats = _stats_from_input(args)
         mask = matrix.inlier_mask()
         N, M = int(mask.sum()), int((~mask).sum())
+    else:
+        raise ValueError("pass --stats stats.json or --in data.csv")
     mu0 = args.mu0 if args.mu0 is not None else geometry.mu_prime(stats, N, M)
     schedule = geometry.ScheduleParams(mu0=mu0, beta=args.beta, K0=args.K0, K_star=args.K_star)
     try:

@@ -54,7 +54,7 @@ def continuous_objective(problem: ContinuousProblem, b: np.ndarray) -> float:
 def continuous_fixed_point(subspace: SubspaceModel, b0: np.ndarray) -> np.ndarray:
     """Limit of the flow from b0: the normalized complement projection of b0."""
     b0 = np.asarray(b0, dtype=float)
-    n = subspace.basis_Sperp @ (subspace.basis_Sperp.T @ b0)
+    n = subspace.project_Sperp(b0)
     nn = np.linalg.norm(n)
     if nn <= _ZERO_TOL * max(np.linalg.norm(b0), 1.0):
         raise ValueError(
@@ -106,7 +106,7 @@ def continuous_psgm_run(
 
     def grad(X, _, rows):
         x = X[0]
-        sproj = sub.basis_S @ (sub.basis_S.T @ x)
+        sproj = sub.project_S(x)
         ns = np.linalg.norm(sproj)
         if ns <= _ZERO_TOL:
             return None  # already in the complement: fixed point reached
@@ -125,14 +125,13 @@ def continuous_psgm_run(
     return b, trace
 
 
-def continuous_span_check(
-    subspace: SubspaceModel, B0: np.ndarray, tol: float = 1e-8
-) -> tuple[np.ndarray, int, bool]:
+def continuous_span_check(subspace: SubspaceModel,
+                          B0: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Map every start column to its closed-form limit and test whether the
     limits span the complement.
 
     Returns (B_star, numerical rank of B_star, rank == codim and the spans
-    agree within tol in projection distance).
+    agree within 1e-8 in projection distance).
     """
     B0 = np.asarray(B0, dtype=float)
     if B0.ndim != 2 or B0.shape[0] != subspace.ambient_dim:
@@ -154,5 +153,5 @@ def continuous_span_check(
     rank = int(np.sum(s > 1e-8 * s[0]))
     spans = False
     if rank == c:
-        spans = projection_distance(B_star, subspace.basis_Sperp) <= tol
+        spans = projection_distance(B_star, subspace.basis_Sperp) <= 1e-8
     return B_star, rank, spans

@@ -292,6 +292,7 @@ def load_csv(path: str, orientation: str = "points") -> DataMatrix:
         labels = np.where(values[:, -1] == _LABEL_CODE["in"], INLIER, OUTLIER)
         values = values[:, :-1]
     pts = values.T if orientation == "points" else values
-    norms = np.linalg.norm(pts, axis=0)
+    with np.errstate(over="ignore"):  # a norm that overflows to inf is not 1
+        norms = np.linalg.norm(pts, axis=0)
     unit = bool(np.all(np.abs(norms - 1.0) <= _UNIT_TOL))
     return DataMatrix(points=pts, labels=labels, unit_normalized=unit)

@@ -4,6 +4,8 @@ The quantities here summarize how well inliers permeate their subspace and how
 evenly outliers cover the sphere: extremal averages c_min/c_max of |<x, b>|
 over unit directions b, the tangential-residual maxima eta, and the
 closed-form hemisphere height c_k that both approach as sample counts grow.
+Every estimate comes from one search: probe the sphere with random unit
+directions, then refine from the best probes by projected subgradient steps.
 On top of them sit the sufficient-condition evaluators: the initial-angle
 test, the certified step cap mu', the iteration threshold K_diamond, the decay
 bound on beta, the accumulated-step constant kappa, and the spectral recovery
@@ -140,7 +142,9 @@ class TheoryReport:
 
 
 # ---------------------------------------------------------------------------
-# sphere estimators (hybrid: probe the sphere, then refine the best probes)
+# sphere estimators: probe the sphere, then refine from the best probes
+
+_TOL = 1e-9  # the step the refinements decay to
 
 
 def _columns(points) -> np.ndarray:
@@ -150,28 +154,34 @@ def _columns(points) -> np.ndarray:
     return a
 
 
-def _refine(fg, b0, sign, n_iters, tol):
-    # projected subgradient ascent (sign=1) or descent (sign=-1) of f from b0
-    # with decaying normalized steps; fg(b) returns (f, g), g=None at a
-    # stationary point. Returns the best f seen.
-    b = b0.copy()
-    best, g = fg(b)
-    mu = 0.2
-    decay = (max(tol, 1e-10) / mu) ** (1.0 / max(n_iters - 1, 1))
-    for _ in range(n_iters):
-        if g is None:
-            break
-        gt = g - (g @ b) * b
-        ng = np.linalg.norm(gt)
-        if ng < 1e-16:
-            break
-        b = b + sign * mu * gt / ng
-        b /= np.linalg.norm(b)
-        f, g = fg(b)
-        if sign * f > sign * best:
-            best = f
-        mu *= decay
-    return best
+def _probe_and_refine(fg, probes, vals, mode, n_restarts, n_iters) -> float:
+    """The min or max (mode) of f over the probe columns, where vals holds f,
+    and over projected subgradient descents or ascents of n_iters normalized
+    steps, decaying from 0.2 to _TOL, from the n_restarts best probes. fg(b)
+    returns (f, g), g=None at a stationary point."""
+    sign = 1.0 if mode == "max" else -1.0
+    order = np.argsort(vals)[::-1] if mode == "max" else np.argsort(vals)
+    found = [float(vals[order[0]])]
+    decay = (_TOL / 0.2) ** (1.0 / max(n_iters - 1, 1))
+    for j in order[: max(n_restarts, 1)]:
+        b = probes[:, j].copy()
+        best, g = fg(b)
+        mu = 0.2
+        for _ in range(n_iters):
+            if g is None:
+                break
+            gt = g - (g @ b) * b
+            ng = np.linalg.norm(gt)
+            if ng < 1e-16:
+                break
+            b = b + sign * mu * gt / ng
+            b /= np.linalg.norm(b)
+            f, g = fg(b)
+            if sign * f > sign * best:
+                best = f
+            mu *= decay
+        found.append(best)
+    return max(found) if mode == "max" else min(found)
 
 
 def estimate_extremal_average(
@@ -180,7 +190,6 @@ def estimate_extremal_average(
     restrict_to_subspace: SubspaceModel | None = None,
     n_samples: int = 256,
     n_restarts: int = 6,
-    tol: float = 1e-9,
     seed: int = 0,
     refine_iters: int = 250,
 ) -> float:
@@ -201,17 +210,9 @@ def estimate_extremal_average(
         s = W.T @ b
         return float(np.abs(s).mean()), W @ np.sign(s) / n
 
-    rng = np.random.default_rng(seed)
-    probes = unit_sphere_columns(rng, dim, n_samples)
+    probes = unit_sphere_columns(np.random.default_rng(seed), dim, n_samples)
     vals = np.abs(W.T @ probes).mean(axis=0)
-    order = np.argsort(vals)
-    if mode == "max":
-        order = order[::-1]
-    sign = 1.0 if mode == "max" else -1.0
-    return (max if mode == "max" else min)(
-        [float(vals[order[0]])]
-        + [_refine(fg, probes[:, j], sign, refine_iters, tol) for j in order[: max(n_restarts, 1)]]
-    )
+    return _probe_and_refine(fg, probes, vals, mode, n_restarts, refine_iters)
 
 
 def estimate_eta(
@@ -219,21 +220,17 @@ def estimate_eta(
     subspace: SubspaceModel | None = None,
     n_samples: int = 256,
     n_restarts: int = 6,
-    tol: float = 1e-9,
     seed: int = 0,
     refine_iters: int = 250,
 ) -> float:
     """Estimate max over unit b of ||(P - b b^T) A sgn(A^T b)||_2 / n.
 
     P projects onto the given subspace (identity when subspace is None). The
-    hybrid probe-and-refine search gives a lower bound of the true maximum.
+    probe-and-refine search gives a lower bound of the true maximum.
     """
     A = _columns(points)
     n = A.shape[1]
-    S = subspace.basis_S if subspace is not None else None
-
-    def proj(V):
-        return S @ (S.T @ V) if S is not None else V
+    proj = subspace.project_S if subspace is not None else (lambda V: V)
 
     def fg(b):
         w = A @ np.sign(A.T @ b) / n
@@ -241,14 +238,11 @@ def estimate_eta(
         hb = float(np.linalg.norm(u))
         return hb, None if hb < 1e-18 else (-(u @ b) * w - (b @ w) * u) / hb
 
-    rng = np.random.default_rng(seed)
-    B = unit_sphere_columns(rng, A.shape[0], n_samples)
+    B = unit_sphere_columns(np.random.default_rng(seed), A.shape[0], n_samples)
     W = A @ np.sign(A.T @ B) / n
     U = proj(W) - B * np.einsum("ij,ij->j", B, W)
     h = np.linalg.norm(U, axis=0)
-    order = np.argsort(h)[::-1]
-    return max([float(h[order[0]])] + [_refine(fg, B[:, j], 1.0, refine_iters, tol)
-                                       for j in order[: max(n_restarts, 1)]])
+    return _probe_and_refine(fg, B, h, "max", n_restarts, refine_iters)
 
 
 def estimate_stats(
@@ -256,7 +250,6 @@ def estimate_stats(
     model: SubspaceModel,
     n_samples: int = 256,
     n_restarts: int = 6,
-    tol: float = 1e-9,
     seed: int = 0,
     refine_iters: int = 250,
 ) -> GeometryStats:
@@ -264,7 +257,7 @@ def estimate_stats(
     if matrix.labels is None:
         raise ValueError("estimate_stats needs a labeled dataset")
     X, O = matrix.split()
-    kw = dict(n_samples=n_samples, n_restarts=n_restarts, tol=tol, refine_iters=refine_iters)
+    kw = dict(n_samples=n_samples, n_restarts=n_restarts, refine_iters=refine_iters)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(6)]
     c_X_min = estimate_extremal_average(X, "min", model, seed=seeds[0], **kw) if X.size else 0.0
     c_X_max = estimate_extremal_average(X, "max", model, seed=seeds[1], **kw) if X.size else 0.0
@@ -280,7 +273,7 @@ def estimate_stats(
         estimation_meta={
             "n_samples": n_samples,
             "n_restarts": n_restarts,
-            "achieved_tol": tol,
+            "achieved_tol": _TOL,
             "bound_side": {
                 "c_X_min": "upper", "c_X_max": "lower",
                 "c_O_min": "upper", "c_O_max": "lower",

@@ -9,8 +9,10 @@ Four experiment kinds share one config and result schema:
 
 Every cell derives its own seeds by hashing the cell parameters (not grid
 position), so sub-grids reproduce the matching rows of larger grids and all
-methods within a cell see identical data. Rows are sorted canonically before
-persistence; two runs of the same config write byte-identical tables.
+methods within a cell see identical data. A solved row's report is the
+analysis.RecoveryReport of its basis, minus the basis itself. Rows are sorted
+canonically before persistence; two runs of the same config write
+byte-identical tables.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .dataset import (
     sample_haar_subspace,
     unit_sphere_columns,
 )
-from .serialize import as_plain, fields_from_json
+from .serialize import as_plain, fields_from_json, to_json
 
 # the cell keys of each kind's rows, in the order the solver seed hashes them
 CELL_KEYS = {
@@ -49,8 +51,11 @@ CELL_KEYS = {
     "outlier_pursuit": ("r",),
     "continuous_check": ("trial_cell",),
 }
-_PHASE_METHODS = ("psgm", "rsgm", "rsgm_over")
-_PURSUIT_METHODS = ("psgm", "rsgm", "rsgm_known")
+# the methods a kind may run, all of them by default; the other kinds run one each
+_METHODS = {
+    "phase_transition": ("psgm", "rsgm", "rsgm_over"),
+    "outlier_pursuit": ("psgm", "rsgm", "rsgm_known"),
+}
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,6 @@ class ExperimentConfig:
     # outlier_pursuit proxy
     n_columns: int = 10000
     proxy_inlier_dim: int = 5
-    rsgm_known_c: int = 5
     # continuous_check
     p: float | None = None
     # solver knobs
@@ -100,11 +104,6 @@ class ExperimentConfig:
                 raise ValueError("invalid grid: every N >= 1 and M >= 0")
             if self.d is None or not 1 <= self.d < self.D:
                 raise ValueError("phase grid needs 1 <= d < D")
-            methods = self.methods or _PHASE_METHODS
-            bad = set(methods) - set(_PHASE_METHODS)
-            if bad:
-                raise ValueError(f"unknown methods {sorted(bad)}")
-            object.__setattr__(self, "methods", tuple(methods))
         elif self.kind == "codim_sweep":
             if self.N is None or self.N < 1:
                 raise ValueError("codim sweep needs N >= 1")
@@ -121,13 +120,6 @@ class ExperimentConfig:
                 raise ValueError("outlier pursuit needs ratios in (0, 1)")
             if not 1 <= self.proxy_inlier_dim < self.D:
                 raise ValueError("invalid proxy dimensions")
-            if not 1 <= self.rsgm_known_c <= self.D:
-                raise ValueError("invalid rsgm_known_c")
-            methods = self.methods or _PURSUIT_METHODS
-            bad = set(methods) - set(_PURSUIT_METHODS)
-            if bad:
-                raise ValueError(f"unknown methods {sorted(bad)}")
-            object.__setattr__(self, "methods", tuple(methods))
         elif self.kind == "continuous_check":
             if self.p is None or not 0.0 < self.p <= 1.0:
                 raise ValueError("invalid ratio: continuous check needs 0 < p <= 1")
@@ -135,11 +127,17 @@ class ExperimentConfig:
                 raise ValueError("continuous check needs 1 <= d < D")
             if self.c_prime < self.D - self.d:
                 raise ValueError("c_prime must be at least the codimension")
+        if self.kind in _METHODS:
+            methods = self.methods or _METHODS[self.kind]
+            bad = set(methods) - set(_METHODS[self.kind])
+            if bad:
+                raise ValueError(f"unknown methods {sorted(bad)}")
+            object.__setattr__(self, "methods", tuple(methods))
 
 
 def config_to_json(config: ExperimentConfig, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(as_plain(config), fh, indent=2)
+        fh.write(to_json(config))
 
 
 def config_from_json(path: str) -> ExperimentConfig:
@@ -183,46 +181,22 @@ class ResultTable:
         )
 
 
-def _flatten_report(rep: analysis.RecoveryReport) -> dict:
-    return {
-        "estimated_codim": int(rep.estimated_codim),
-        "singular_values": [float(v) for v in rep.singular_values],
-        "procrustes_distance": rep.procrustes_distance,
-        "projection_distance": rep.projection_distance,
-        "max_principal_angle": rep.max_principal_angle,
-        "outlier_f1": rep.outlier_f1,
-        "outlier_precision": rep.outlier_precision,
-        "outlier_recall": rep.outlier_recall,
-    }
-
-
-def _schedule_from_config(config: ExperimentConfig) -> solver.StepSchedule:
-    return solver.schedule_from(config.schedule_kind, config.mu0, config.beta, config.K0,
-                                config.K_star)
-
-
-def _solver_config(config: ExperimentConfig, seed: int) -> solver.SolverConfig:
-    return solver.SolverConfig(
-        c_prime=config.c_prime,
-        max_iters=config.max_iters,
-        stop_tol=config.stop_tol,
-        schedule=_schedule_from_config(config),
-        seed=seed,
-    )
-
-
-def _solve(config: ExperimentConfig, matrix: DataMatrix, method: str, seed: int, rsgm_c: int):
-    """psgm with c' instances, or rsgm at width rsgm_c."""
+def _solve_and_report(config: ExperimentConfig, model, matrix: DataMatrix, method: str,
+                      seed: int, rsgm_c: int) -> dict:
+    """Solve with psgm (c' instances) or rsgm (width rsgm_c) and return the
+    RecoveryReport as a row report: its fields without the basis, plus the
+    true codimension when the model is known."""
+    schedule = solver.schedule_from(config.schedule_kind, config.mu0, config.beta, config.K0,
+                                    config.K_star)
     if method == "psgm":
-        return solver.psgm_multi(matrix, _solver_config(config, seed))
-    return rsgm.rsgm_run(
-        matrix, rsgm_c, _schedule_from_config(config),
-        max_iters=config.max_iters, stop_tol=config.stop_tol,
-    )
-
-
-def _recovery(model, matrix, basis) -> dict:
-    report = _flatten_report(analysis.recovery_report(basis, model=model, matrix=matrix))
+        basis = solver.psgm_multi(matrix, solver.SolverConfig(
+            c_prime=config.c_prime, max_iters=config.max_iters, stop_tol=config.stop_tol,
+            schedule=schedule, seed=seed))
+    else:
+        basis = rsgm.rsgm_run(matrix, rsgm_c, schedule, max_iters=config.max_iters,
+                              stop_tol=config.stop_tol)
+    report = as_plain(analysis.recovery_report(basis, model=model, matrix=matrix))
+    del report["orthonormalized_complement"]
     if model is not None:
         report["true_codim"] = model.codim
     return report
@@ -244,7 +218,7 @@ def _phase_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
     model = sample_haar_subspace(config.D, config.d, model_seed)
     matrix = generate_dataset(model, N, M, data_seed)
     c = model.codim if method == "rsgm" else config.c_prime
-    return _recovery(model, matrix, _solve(config, matrix, method, seed, c))
+    return _solve_and_report(config, model, matrix, method, seed, c)
 
 
 def ratio_to_counts(N: int, r: float) -> int:
@@ -259,28 +233,22 @@ def _codim_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
     M = ratio_to_counts(config.N, r)
     model = sample_haar_subspace(config.D, config.D - c, model_seed)
     matrix = generate_dataset(model, config.N, M, data_seed)
-    return _recovery(model, matrix, _solve(config, matrix, method, seed, c))
+    return _solve_and_report(config, model, matrix, method, seed, c)
 
 
-def hsi_proxy(
-    D: int = 10,
-    inlier_dim: int = 5,
-    n_columns: int = 10000,
-    noise: float = 1e-3,
-    seed: int = 0,
-    spectrum_decay: float = 0.6,
-) -> tuple[SubspaceModel, DataMatrix]:
+def hsi_proxy(D: int = 10, inlier_dim: int = 5, n_columns: int = 10000,
+              seed: int = 0) -> tuple[SubspaceModel, DataMatrix]:
     """Low-dimensional proxy cube: unit columns near a d-dimensional subspace
-    with a geometrically decaying coefficient spectrum and small relative
-    noise, mimicking a flattened hyperspectral block."""
+    with a coefficient spectrum decaying by 0.6 per direction and relative
+    noise 1e-3, mimicking a flattened hyperspectral block."""
     ss = np.random.SeedSequence(seed).spawn(2)
     model = sample_haar_subspace(D, inlier_dim, int(ss[0].generate_state(1)[0]))
     rng = np.random.default_rng(ss[1])
-    weights = spectrum_decay ** np.arange(inlier_dim)
+    weights = 0.6 ** np.arange(inlier_dim)
     z = rng.standard_normal((inlier_dim, n_columns)) * weights[:, None]
     x = model.basis_S @ z
     x /= np.linalg.norm(x, axis=0)
-    x = x + noise * rng.standard_normal(x.shape)
+    x = x + 1e-3 * rng.standard_normal(x.shape)
     x /= np.linalg.norm(x, axis=0)
     labels = np.full(n_columns, INLIER, dtype="U7")
     return model, DataMatrix(points=x, labels=labels, unit_normalized=True)
@@ -295,8 +263,8 @@ def _pursuit_report(config: ExperimentConfig, cell: dict, method: str, trial: in
     )
     corrupt_seed = derive_seed(config.seed, config.kind, r, trial, "corrupt")
     matrix = corrupt_with_outliers(base, r, corrupt_seed)
-    c = config.rsgm_known_c if method == "rsgm_known" else config.c_prime
-    return _recovery(None, matrix, _solve(config, matrix, method, seed, c))
+    c = config.D - config.proxy_inlier_dim if method == "rsgm_known" else config.c_prime
+    return _solve_and_report(config, None, matrix, method, seed, c)
 
 
 def _continuous_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
@@ -452,38 +420,24 @@ def load_results(path: str) -> ResultTable:
     return ResultTable(kind=kind, rows=rows)
 
 
+# per kind: the TSV header, and the value a row adds to its cell's mean (None
+# leaves the row out); a kind that runs several methods keeps them apart
+_PLOT = {
+    "phase_transition": ("N\tM\tmethod\tmean_projection_distance\tn",
+                         lambda r: None if r.error else r.report.get("projection_distance")),
+    "codim_sweep": ("c\tr\texact_fraction\tn",
+                    lambda r: int(not r.error and r.report.get("estimated_codim") == r.cell["c"])),
+    "outlier_pursuit": ("r\tmethod\tmean_f1\tn",
+                        lambda r: None if r.error else r.report.get("outlier_f1")),
+}
+
+
 def write_plotdata(table: ResultTable, path: str) -> None:
-    """Aggregate a table into the TSV series its figure is drawn from."""
+    """Aggregate a table into the TSV series its figure is drawn from: the mean
+    per cell (and method) for a grid, the row listing for a continuous check."""
     rows = table.sorted_rows()
-    lines: list[str] = []
-    if table.kind == "phase_transition":
-        lines.append("N\tM\tmethod\tmean_projection_distance\tn")
-        agg: dict[tuple, list[float]] = {}
-        for r in rows:
-            v = r.report.get("projection_distance")
-            if not r.error and v is not None:
-                agg.setdefault((r.cell["N"], r.cell["M"], r.method), []).append(v)
-        for (N, M, method), vals in sorted(agg.items()):
-            lines.append(f"{N}\t{M}\t{method}\t{np.mean(vals):.17g}\t{len(vals)}")
-    elif table.kind == "codim_sweep":
-        lines.append("c\tr\texact_fraction\tn")
-        agg = {}
-        for r in rows:
-            ok = int(not r.error and r.report.get("estimated_codim") == r.cell["c"])
-            agg.setdefault((r.cell["c"], r.cell["r"]), []).append(ok)
-        for (c, rr), vals in sorted(agg.items()):
-            lines.append(f"{c}\t{rr:.17g}\t{np.mean(vals):.17g}\t{len(vals)}")
-    elif table.kind == "outlier_pursuit":
-        lines.append("r\tmethod\tmean_f1\tn")
-        agg = {}
-        for r in rows:
-            v = r.report.get("outlier_f1")
-            if not r.error and v is not None:
-                agg.setdefault((r.cell["r"], r.method), []).append(v)
-        for (rr, method), vals in sorted(agg.items()):
-            lines.append(f"{rr:.17g}\t{method}\t{np.mean(vals):.17g}\t{len(vals)}")
-    else:
-        lines.append("trial\tmax_fixed_point_angle_error\testimated_codim\tspans_complement")
+    if table.kind == "continuous_check":
+        lines = ["trial\tmax_fixed_point_angle_error\testimated_codim\tspans_complement"]
         for r in rows:
             if r.error or "tag" in r.report:
                 continue
@@ -491,5 +445,16 @@ def write_plotdata(table: ResultTable, path: str) -> None:
                 f"{r.trial}\t{r.report['max_fixed_point_angle_error']:.17g}"
                 f"\t{r.report['estimated_codim']}\t{int(r.report['spans_complement'])}"
             )
+    else:
+        header, value = _PLOT[table.kind]
+        agg: dict[tuple, list] = {}
+        for r in rows:
+            v = value(r)
+            if v is not None:
+                key = tuple(r.cell[k] for k in CELL_KEYS[table.kind])
+                agg.setdefault(key + ((r.method,) if table.kind in _METHODS else ()), []).append(v)
+        lines = [header] + ["\t".join([_encode_cell_value(c) for c in key]
+                                      + [format(np.mean(vals), ".17g"), str(len(vals))])
+                            for key, vals in sorted(agg.items())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

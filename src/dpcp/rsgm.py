@@ -67,14 +67,15 @@ def spectral_init(matrix: DataMatrix, c_prime: int) -> OrthoBasis:
     return OrthoBasis(columns=B)
 
 
-def _group_objective(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
+def _group_objective(A: np.ndarray, B: np.ndarray) -> tuple[float, tuple]:
+    """f(B) and what the subgradient at B needs: S = A^T B and its row norms."""
     S = A.T @ B
     rn = np.linalg.norm(S, axis=1)
-    return float(rn.sum()), S
+    return float(rn.sum()), (S, rn)
 
 
-def _riemannian_subgradient(A: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
-    rn = np.linalg.norm(S, axis=1)
+def _riemannian_subgradient(A: np.ndarray, B: np.ndarray, S: np.ndarray,
+                            rn: np.ndarray) -> np.ndarray:
     W = np.zeros_like(S)
     nz = rn > 0
     W[nz] = S[nz] / rn[nz, None]
@@ -109,13 +110,13 @@ def rsgm_run(
     k = -1
 
     def value(X, rows):
-        f, S = _group_objective(A, X[0])
-        return np.array([f]), S[None]
+        f, aux = _group_objective(A, X[0])
+        return np.array([f]), aux
 
-    def grad(X, S, rows):
+    def grad(X, aux, rows):
         nonlocal k
         k += 1  # one subgradient per iteration, so k numbers the step being retracted
-        return _riemannian_subgradient(A, X[0], S[0])[None]
+        return _riemannian_subgradient(A, X[0], *aux)[None]
 
     (B, trace), = descend(
         [B], value, grad,

@@ -23,8 +23,8 @@ def as_plain(obj):
     return obj
 
 
-def to_json(obj, indent: int = 2) -> str:
-    return json.dumps(as_plain(obj), indent=indent, allow_nan=True)
+def to_json(obj) -> str:
+    return json.dumps(as_plain(obj), indent=2, allow_nan=True)
 
 
 def fields_from_json(cls, path: str) -> dict:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _basis_array
+from .analysis import _basis_array, principal_angles
 from .dataset import DataMatrix, SubspaceModel, unit_sphere_columns
 from .geometry import ScheduleParams
 
@@ -229,13 +229,9 @@ def schedule_from(kind: str, mu0: float | None, beta: float, K0: int, K_star: in
 
 
 def _resolve_step(schedule, mu_auto: float, instance: int):
-    """Step rule of one problem: an MBLS with a numeric first trial step, or a
-    function k -> mu. mu_auto fills a first step the schedule leaves open."""
+    """Open-loop step rule of one problem, a function k -> mu; mu_auto fills a
+    first step the schedule leaves open."""
     if callable(schedule):
-        return schedule
-    if isinstance(schedule, MBLS):
-        if schedule.mu_init is None:
-            schedule = dataclasses.replace(schedule, mu_init=mu_auto)
         return schedule
     if isinstance(schedule, PiecewiseGeometric) and schedule.params.mu0_for(instance) is None:
         schedule = PiecewiseGeometric(dataclasses.replace(schedule.params, mu0=mu_auto))
@@ -350,10 +346,12 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
         gn2 = sqnorm(G)
         for j, s in enumerate(act):
             run = slots[s]
-            if run.rule is None:  # first iterate: an open first step comes from its f and g
-                run.rule = _resolve_step(step, F[s] / gn2[j] if gn2[j] > 0 else 1.0, run.index)
+            if run.k == 0:  # first iterate: an open first step comes from its f and g
+                mu_auto = F[s] / gn2[j] if gn2[j] > 0 else 1.0
                 if mbls:
-                    MU[s] = run.rule.mu_init
+                    MU[s] = mu_auto if step.mu_init is None else step.mu_init
+                else:
+                    run.rule = _resolve_step(step, mu_auto, run.index)
         if mbls:
             mu, alpha, max_back = MU[act], step.alpha, step.max_backtracks
         else:
@@ -440,14 +438,11 @@ def _psgm_panel(matrix: DataMatrix, starts: list[np.ndarray], config: SolverConf
         signs[rows] = np.sign(S[rows])
         return (A @ signs.T).T[rows]
 
-    def angle(x):
-        h = np.linalg.norm(model.basis_Sperp.T @ x)
-        return float(np.arccos(min(max(h, -1.0), 1.0)))
-
     return descend(
         starts, value, grad, _sphere_retract, _sphere_distance, lambda G: _row_dots(G, G),
         config.schedule, config.max_iters, config.stop_tol, width=PANEL_WIDTH,
-        angle=angle if model is not None else None, record_iterates=config.record_iterates,
+        angle=(lambda x: float(principal_angles(x, model)[0])) if model is not None else None,
+        record_iterates=config.record_iterates,
     )
 
 

@@ -150,10 +150,10 @@ def test_classify_outliers_flat_scores_mean_no_outliers():
     assert set(predicted) == {INLIER}
 
 
-def test_classify_outliers_explicit_threshold():
+def test_classify_outliers_exact_zero_scores():
     m = DataMatrix(points=np.eye(3))
-    basis = np.eye(3)[:, :1]  # scores 1, 0, 0
-    predicted = classify_outliers(m, basis, threshold=0.5)
+    basis = np.eye(3)[:, :1]  # scores 1, 0, 0: the zeros are floored, then split off
+    predicted = classify_outliers(m, basis)
     assert list(predicted) == [OUTLIER, INLIER, INLIER]
 
 

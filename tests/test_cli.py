@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dpcp
 from dpcp import cli, geometry, harness
-from dpcp.dataset import load_csv
+from dpcp.dataset import DataMatrix, load_csv, save_csv
 from dpcp.serialize import to_json
 
 
@@ -39,7 +40,7 @@ def test_gen_writes_labeled_unit_dataset(dataset, tmp_path, capsys):
     code, out, _ = run_cli(["gen", "--D", "8", "--d", "6", "--N", "200", "--M", "50",
                             "--seed", "5", "--out", str(again)], capsys)
     assert code == 0 and "seed=5" in out
-    assert again.read_bytes() == open(dataset, "rb").read()
+    assert again.read_bytes() == Path(dataset).read_bytes()
 
 
 def test_gen_reports_a_parseable_auto_seed(tmp_path, capsys):
@@ -140,6 +141,39 @@ def test_theory_stats_rejects_unknown_keys(limit_stats, tmp_path, capsys):
     assert "unknown keys ['eta'] for GeometryStats" in err
 
 
+def test_theory_from_data_prints_its_seed(dataset, capsys):
+    code, out, _ = run_cli(["theory", "--in", dataset, "--seed", "3", "--D", "8",
+                            "--cprime", "2", "--mu0", "1e-4"], capsys)
+    assert code in (0, 3)
+    assert out.splitlines()[0] == "seed=3"
+
+
+@pytest.fixture(scope="module")
+def scaled_dataset(dataset, tmp_path_factory):
+    paths = []
+    m = load_csv(dataset)
+    for scale in (3.0, 0.3):
+        path = tmp_path_factory.mktemp("cli") / f"scaled{scale}.csv"
+        save_csv(DataMatrix(points=scale * m.points, labels=m.labels), str(path))
+        paths.append(str(path))
+    return paths
+
+
+def test_theory_from_data_rejects_non_unit_columns(scaled_dataset, capsys):
+    for path in scaled_dataset:
+        code, _, err = run_cli(["theory", "--in", path, "--seed", "3", "--D", "8",
+                                "--cprime", "2"], capsys)
+        assert code == 2
+        assert "pass --normalize" in err
+
+
+def test_theory_from_data_normalizes_on_request(scaled_dataset, capsys):
+    code, out, err = run_cli(["theory", "--in", scaled_dataset[0], "--normalize",
+                              "--seed", "3", "--D", "8", "--cprime", "2"], capsys)
+    assert code != 2, err
+    assert out.splitlines()[0] == "seed=3"
+
+
 def test_continuous_command_table_and_plotdata(tmp_path, capsys):
     out_csv = tmp_path / "cont.csv"
     plot = tmp_path / "cont.tsv"
@@ -174,6 +208,7 @@ def test_grid_command_runs_config_and_rejects_kind_mismatch(tmp_path, capsys):
     assert "does not match the codim command" in err
     raw = json.loads(cfg_path.read_text())
     bad_configs = [(dict(raw, workers=2), "unknown keys ['workers']"),
+                   (dict(raw, rsgm_known_c=2), "unknown keys ['rsgm_known_c']"),
                    ({k: v for k, v in raw.items() if k != "kind"}, "missing keys ['kind']")]
     for doc, message in bad_configs:
         cfg_path.write_text(json.dumps(doc))

@@ -202,8 +202,8 @@ def test_csv_roundtrip_dims_orientation(tmp_path):
     pts=hnp.arrays(
         np.float64,
         st.tuples(st.integers(1, 5), st.integers(1, 5)),
-        # |x| <= 1e100: near 1e154 the unit-norm check in load_csv overflows
-        elements=st.floats(-1e100, 1e100) | st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308]),
+        elements=st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308]),
     ),
     orientation=st.sampled_from(["points", "dims"]),
     data=st.data(),
@@ -221,6 +221,15 @@ def test_csv_roundtrip_bits_and_bytes(tmp_path, pts, orientation, data):
         assert back.labels is None
     save_csv(back, str(second), orientation=orientation)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_load_csv_huge_entries_are_not_unit(tmp_path):
+    p = tmp_path / "huge.csv"
+    pts = np.array([[1e154, 1.7976931348623157e308], [1e154, -1.0]])
+    save_csv(DataMatrix(points=pts), str(p))
+    back = load_csv(str(p))  # the column norms overflow to inf: no warning, not unit
+    assert np.array_equal(back.points, pts)
+    assert not back.unit_normalized
 
 
 def test_load_csv_accepts_blank_lines_spaces_quotes_and_line_ends(tmp_path):

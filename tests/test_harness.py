@@ -91,13 +91,13 @@ def test_ratio_to_counts_hits_requested_fraction(N, r):
 
 
 def test_hsi_proxy_structure():
-    model, matrix = hsi_proxy(D=6, inlier_dim=3, n_columns=300, noise=1e-3, seed=4)
+    model, matrix = hsi_proxy(D=6, inlier_dim=3, n_columns=300, seed=4)
     assert matrix.points.shape == (6, 300)
     assert matrix.unit_normalized
     assert np.all(matrix.labels == "inlier")
     resid = np.linalg.norm(model.basis_Sperp.T @ matrix.points, axis=0)
     assert resid.max() < 0.02  # columns hug the subspace up to the noise
-    again = hsi_proxy(D=6, inlier_dim=3, n_columns=300, noise=1e-3, seed=4)[1]
+    again = hsi_proxy(D=6, inlier_dim=3, n_columns=300, seed=4)[1]
     assert np.array_equal(matrix.points, again.points)
 
 
@@ -139,7 +139,7 @@ def test_run_codim_sweep_smoke():
 
 def test_run_outlier_pursuit_smoke():
     cfg = ExperimentConfig(kind="outlier_pursuit", D=6, proxy_inlier_dim=3,
-                           n_columns=400, r_grid=(0.5,), rsgm_known_c=3,
+                           n_columns=400, r_grid=(0.5,),
                            methods=("psgm", "rsgm_known"), c_prime=6, trials=1,
                            seed=5, max_iters=200)
     table = run_experiment(cfg)
@@ -268,11 +268,13 @@ def test_load_results_rejects_truncated_rows(tmp_path):
 
 def test_write_plotdata_headers(tmp_path):
     table = _tiny_table()
+    # an error row counts as a miss even when its report names the right codimension
+    table.rows.append(ResultRow(cell={"c": 2, "r": 0.2}, method="psgm", trial=2, seed=2,
+                                report={"estimated_codim": 2}, wall_time=0.0, error="boom"))
     p = tmp_path / "plot.tsv"
     write_plotdata(table, str(p))
     lines = p.read_text().splitlines()
-    assert lines[0] == "c\tr\texact_fraction\tn"
-    assert lines[1] == "2\t0.20000000000000001\t0.5\t2"
+    assert lines == ["c\tr\texact_fraction\tn", "2\t0.20000000000000001\t0.33333333333333331\t3"]
     phase = ResultTable(kind="phase_transition", rows=[
         ResultRow(cell={"N": 10, "M": 5}, method="psgm", trial=0, seed=0,
                   report={"projection_distance": 0.25}, wall_time=0.0)])
@@ -280,3 +282,33 @@ def test_write_plotdata_headers(tmp_path):
     lines = p.read_text().splitlines()
     assert lines[0] == "N\tM\tmethod\tmean_projection_distance\tn"
     assert lines[1] == "10\t5\tpsgm\t0.25\t1"
+
+
+def test_write_plotdata_pursuit_means_and_continuous_listing(tmp_path):
+    def row(cell, method, trial, report, error=None):
+        return ResultRow(cell=cell, method=method, trial=trial, seed=trial, report=report,
+                         wall_time=0.0, error=error)
+
+    p = tmp_path / "plot.tsv"
+    pursuit = ResultTable(kind="outlier_pursuit", rows=[
+        row({"r": 0.5}, "psgm", 0, {"outlier_f1": 0.9}),
+        row({"r": 0.5}, "psgm", 1, {"outlier_f1": 0.8}),
+        row({"r": 0.5}, "rsgm_known", 0, {"outlier_f1": 1.0}),
+        row({"r": 0.5}, "rsgm_known", 1, {"outlier_f1": 0.0}, error="boom"),
+        row({"r": 0.75}, "psgm", 0, {"outlier_f1": 0.7}),
+    ])
+    write_plotdata(pursuit, str(p))
+    assert p.read_text() == ("r\tmethod\tmean_f1\tn\n"
+                             "0.5\tpsgm\t0.85000000000000009\t2\n"
+                             "0.5\trsgm_known\t1\t1\n"
+                             "0.75\tpsgm\t0.69999999999999996\t1\n")
+    continuous = ResultTable(kind="continuous_check", rows=[
+        row({"trial_cell": 0}, "continuous", 0, {"max_fixed_point_angle_error": 1e-10,
+                                                 "estimated_codim": 3,
+                                                 "spans_complement": True}),
+        row({"trial_cell": 1}, "continuous", 1, {"tag": "span check skipped"}),
+        row({"trial_cell": 2}, "continuous", 2, {}, error="boom"),
+    ])
+    write_plotdata(continuous, str(p))
+    assert p.read_text() == ("trial\tmax_fixed_point_angle_error\testimated_codim"
+                             "\tspans_complement\n0\t1e-10\t3\t1\n")
