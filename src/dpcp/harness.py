@@ -56,6 +56,7 @@ _METHODS = {
     "phase_transition": ("psgm", "rsgm", "rsgm_over"),
     "outlier_pursuit": ("psgm", "rsgm", "rsgm_known"),
 }
+_ONE_METHOD = {"codim_sweep": "psgm", "continuous_check": "continuous"}
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,12 @@ class ExperimentConfig:
                 raise ValueError("continuous check needs 1 <= d < D")
             if self.c_prime < self.D - self.d:
                 raise ValueError("c_prime must be at least the codimension")
+        allowed = _METHODS.get(self.kind) or (_ONE_METHOD[self.kind],)
+        bad = set(self.methods) - set(allowed)
+        if bad:
+            raise ValueError(f"unknown methods {sorted(bad)}")
         if self.kind in _METHODS:
-            methods = self.methods or _METHODS[self.kind]
-            bad = set(methods) - set(_METHODS[self.kind])
-            if bad:
-                raise ValueError(f"unknown methods {sorted(bad)}")
-            object.__setattr__(self, "methods", tuple(methods))
+            object.__setattr__(self, "methods", tuple(self.methods or allowed))
 
 
 def config_to_json(config: ExperimentConfig, path: str) -> None:
@@ -318,12 +319,12 @@ def _jobs(config: ExperimentConfig) -> list[tuple]:
     the seed of the trial's starts."""
     k, trials = config.kind, range(config.trials)
     if k == "continuous_check":
-        return [(dict(zip(CELL_KEYS[k], (t,))), "continuous", t,
+        return [(dict(zip(CELL_KEYS[k], (t,))), _ONE_METHOD[k], t,
                  cell_data_seeds(config, t)[1]) for t in trials]
     if k == "phase_transition":
         cells = [((N, M), m) for N in config.N_grid for M in config.M_grid for m in config.methods]
     elif k == "codim_sweep":
-        cells = [((c, r), "psgm") for c in config.codim_grid for r in config.r_grid]
+        cells = [((c, r), _ONE_METHOD[k]) for c in config.codim_grid for r in config.r_grid]
     else:
         cells = [((r,), m) for r in config.r_grid for m in config.methods]
     return [(dict(zip(CELL_KEYS[k], vals)), m, t,

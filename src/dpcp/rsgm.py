@@ -4,7 +4,9 @@ Minimizes the group-sparse objective ||A^T B||_{1,2} (sum of row norms) over
 D x c' matrices with orthonormal columns. The search direction is the
 Euclidean subgradient projected onto the tangent space, and iterates return to
 the manifold through the polar retraction. The spectral initializer seeds B
-with the bottom eigenvectors of the data covariance.
+with the bottom eigenvectors of the data covariance. The iterate is stored as
+B^T, c' rows of length D as in the psgm panel, so neither product (B^T A, A W^T)
+transposes A and the row norms of A^T B are contiguous column sums over B^T A.
 
 Because the columns are forced to stay jointly orthonormal, overestimating the
 codimension drags part of the basis into the inlier subspace; that failure
@@ -67,25 +69,22 @@ def spectral_init(matrix: DataMatrix, c_prime: int) -> OrthoBasis:
     return OrthoBasis(columns=B)
 
 
-def _group_objective(A: np.ndarray, B: np.ndarray) -> tuple[float, tuple]:
-    """f(B) and what the subgradient at B needs: S = A^T B and its row norms."""
-    S = A.T @ B
-    rn = np.linalg.norm(S, axis=1)
-    return float(rn.sum()), (S, rn)
+def _group_objective(A: np.ndarray, Bt: np.ndarray) -> tuple[float, tuple]:
+    """f(B) and what the subgradient at B needs: S^T = B^T A and its column norms."""
+    St = Bt @ A
+    rn = np.sqrt(np.einsum("ij,ij->j", St, St))
+    return float(rn.sum()), (St, rn)
 
 
-def _riemannian_subgradient(A: np.ndarray, B: np.ndarray, S: np.ndarray,
+def _riemannian_subgradient(A: np.ndarray, Bt: np.ndarray, St: np.ndarray,
                             rn: np.ndarray) -> np.ndarray:
-    W = np.zeros_like(S)
-    nz = rn > 0
-    W[nz] = S[nz] / rn[nz, None]
-    G = A @ W
-    sym = 0.5 * (B.T @ G + G.T @ B)
-    return G - B @ sym
+    Wt = np.divide(St, rn, out=np.zeros_like(St), where=rn > 0)
+    Gt = (A @ Wt.T).T
+    return Gt - 0.5 * (Bt @ Gt.T + Gt @ Bt.T) @ Bt
 
 
-def _polar_retract(C: np.ndarray, notes: list[str], k: int) -> np.ndarray:
-    u, s, vt = np.linalg.svd(C, full_matrices=False)
+def _polar_retract(Ct: np.ndarray, notes: list[str], k: int) -> np.ndarray:
+    u, s, vt = np.linalg.svd(Ct, full_matrices=False)
     if s[-1] < 1e-12 * max(s[0], 1.0):
         notes.append(f"iteration {k}: rank-deficient candidate, regularized polar factor")
     return u @ vt
@@ -105,7 +104,7 @@ def rsgm_run(
     stop_tol or after max_iters. Deterministic: no randomness enters the run.
     """
     A = matrix.points
-    B = np.asarray(spectral_init(matrix, c_prime).columns)
+    Bt = spectral_init(matrix, c_prime).columns.T
     notes: list[str] = []
     k = -1
 
@@ -118,13 +117,13 @@ def rsgm_run(
         k += 1  # one subgradient per iteration, so k numbers the step being retracted
         return _riemannian_subgradient(A, X[0], *aux)[None]
 
-    (B, trace), = descend(
-        [B], value, grad,
+    (Bt, trace), = descend(
+        [Bt], value, grad,
         lambda C: _polar_retract(C[0], notes, k)[None],
         lambda X, Y: np.array([np.linalg.norm(Y[0] - X[0])]),
         lambda G: np.array([np.sum(G[0] * G[0])]),
         schedule, max_iters, stop_tol,
-        angle=(lambda X: max_subspace_angle(X, model.basis_Sperp)) if model is not None else None,
+        angle=(lambda X: max_subspace_angle(X.T, model.basis_Sperp)) if model is not None else None,
     )
     trace.notes = tuple(notes)
-    return OrthoBasis(columns=B, trace=trace)
+    return OrthoBasis(columns=Bt.T, trace=trace)

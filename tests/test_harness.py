@@ -51,6 +51,15 @@ def test_config_validation():
         ExperimentConfig(kind="continuous_check", D=8, d=5, c_prime=4)
     with pytest.raises(ValueError, match="at least the codimension"):
         ExperimentConfig(kind="continuous_check", D=8, d=5, p=0.5, c_prime=2)
+    # a kind that runs one method names only that one
+    codim = dict(kind="codim_sweep", D=6, N=40, codim_grid=(2,), r_grid=(0.2,))
+    with pytest.raises(ValueError, match=r"unknown methods \['bogus', 'rsgm'\]"):
+        ExperimentConfig(**codim, methods=("rsgm", "bogus"))
+    with pytest.raises(ValueError, match=r"unknown methods \['psgm'\]"):
+        ExperimentConfig(kind="continuous_check", D=8, d=5, p=0.5, c_prime=4,
+                         methods=("psgm",))
+    assert ExperimentConfig(**codim, methods=("psgm",)).methods == ("psgm",)
+    assert ExperimentConfig(**codim).methods == ()
     # default method lists fill in
     assert ExperimentConfig(kind="outlier_pursuit", D=6, proxy_inlier_dim=3,
                             r_grid=(0.5,)).methods == ("psgm", "rsgm", "rsgm_known")

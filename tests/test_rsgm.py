@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpcp.analysis import max_subspace_angle, principal_angles, projection_distance
-from dpcp.dataset import DataMatrix, generate_dataset, sample_haar_subspace
+from dpcp.dataset import INLIER, DataMatrix, generate_dataset, sample_haar_subspace
 from dpcp.geometry import ScheduleParams
 from dpcp.rsgm import OrthoBasis, rsgm_run, spectral_init
 from dpcp.solver import MBLS, PiecewiseGeometric
@@ -79,16 +79,17 @@ def test_rsgm_deterministic_and_monotone_mbls():
 
 def test_rsgm_automatic_pgd_first_step():
     # f(B0)/||G(B0)||^2 at the spectral start, with G the tangent projection
-    # of the Euclidean subgradient A (row-normalized A^T B0)
+    # of the Euclidean subgradient A (row-normalized A^T B0), computed on B0^T
+    # in the row layout the run uses, so the bits match exactly
     model = sample_haar_subspace(12, 9, seed=3)
     data = generate_dataset(model, N=150, M=100, seed=4)
     A = data.points
-    B0 = spectral_init(data, 3).columns
-    S = A.T @ B0
-    rn = np.linalg.norm(S, axis=1)
-    G = A @ (S / rn[:, None])
-    G = G - B0 @ (0.5 * (B0.T @ G + G.T @ B0))
-    expected = float(rn.sum()) / float(np.sum(G * G))
+    Bt = spectral_init(data, 3).columns.T
+    St = Bt @ A
+    rn = np.sqrt(np.sum(St * St, axis=0))
+    Gt = (A @ (St / rn).T).T
+    Gt = Gt - (0.5 * (Bt @ Gt.T + Gt @ Bt.T)) @ Bt
+    expected = float(rn.sum()) / float(np.sum(Gt * Gt))
     basis = rsgm_run(data, 3, _auto_pgd(), max_iters=5)
     assert basis.trace.step[0] == expected
 
@@ -99,3 +100,20 @@ def test_rsgm_iterates_stay_orthonormal():
     result = rsgm_run(data, c_prime=2, schedule=_auto_pgd(K0=10), max_iters=40)
     G = result.columns.T @ result.columns
     assert np.max(np.abs(G - np.eye(2))) < 1e-10
+
+
+@pytest.mark.parametrize("zero_column", [False, True])
+def test_rsgm_final_objective_is_the_group_norm_of_its_basis(zero_column):
+    # the trace's last value must be ||A^T B||_{1,2} of the returned basis,
+    # recomputed in the column layout; an all-zero point gives a zero row of
+    # A^T B, which must add nothing to the subgradient and raise no warning
+    model = sample_haar_subspace(30, 25, seed=11)
+    data = generate_dataset(model, N=300, M=200, seed=12)
+    if zero_column:
+        data = DataMatrix(points=np.hstack([data.points, np.zeros((30, 1))]),
+                          labels=np.append(data.labels, INLIER))
+    basis = rsgm_run(data, c_prime=5, schedule=MBLS(), max_iters=200, model=model)
+    B = basis.columns
+    expected = np.linalg.norm(data.points.T @ B, axis=1).sum()
+    assert abs(basis.trace.objective[-1] - expected) <= 1e-12 * expected
+    assert np.max(np.abs(B.T @ B - np.eye(5))) < 1e-10
