@@ -49,7 +49,6 @@ from .solver import (
     MBLS,
     Constant,
     DualBasis,
-    PiecewiseGeometric,
     SolverConfig,
     Trace,
     average_terms,

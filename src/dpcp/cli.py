@@ -199,8 +199,7 @@ def _cmd_continuous(args) -> int:
         beta=args.beta, K0=args.K0, K_star=args.K_star,
         mu0=args.mu0, stop_tol=args.stop_tol,
     )
-    table = harness.run_experiment(config)
-    _finish_table(table, args)
+    _run_table(config, args)
     return 0
 
 
@@ -212,12 +211,15 @@ def _cmd_grid(args) -> int:
     expected = {"phase": "phase_transition", "codim": "codim_sweep", "pursuit": "outlier_pursuit"}
     if config.kind != expected[args.command]:
         raise ValueError(f"config kind {config.kind!r} does not match the {args.command} command")
-    table = harness.run_experiment(config)
-    _finish_table(table, args)
+    _run_table(config, args)
     return 0
 
 
-def _finish_table(table, args) -> None:
+def _run_table(config: harness.ExperimentConfig, args) -> None:
+    """Run the grid and write the requested outputs; a bad --out fails before the run."""
+    if args.out:
+        harness._csv_path(args.out)
+    table = harness.run_experiment(config)
     if args.out:
         harness.persist(table, args.out)
         print(f"wrote {len(table.rows)} rows to {args.out}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import projection_distance
 from .dataset import SubspaceModel
-from .geometry import hemisphere_height
+from .geometry import ScheduleParams, hemisphere_height
 from .solver import MBLS, StepSchedule, Trace, descend, step_size
 
 _ZERO_TOL = 1e-14
@@ -76,13 +76,14 @@ def continuous_psgm_run(
 
     A start in S has no well-defined limit and is rejected; a start already in
     the complement is returned unchanged as the k=0 converged case. The step
-    mu = 1/(p c_D) annihilates the complement component in one update and is
-    rejected. The complement component of the iterate stays collinear with the
-    start's throughout, so the run converges to continuous_fixed_point(b0)
-    whenever every step keeps 1 - mu p c_D > 0.
+    mu = 1/(p c_D) annihilates the complement component in one update, so a
+    schedule that takes it within max_iters is rejected before the run. The
+    complement component of the iterate stays collinear with the start's
+    throughout, so the run converges to continuous_fixed_point(b0) whenever
+    every step keeps 1 - mu p c_D > 0.
     """
     if isinstance(schedule, MBLS):
-        raise TypeError("the continuous simulator supports Constant and PiecewiseGeometric steps")
+        raise TypeError("the continuous simulator supports Constant and ScheduleParams steps")
     sub = problem.subspace
     b = np.asarray(b0, dtype=float).copy()
     if abs(np.linalg.norm(b) - 1.0) > 1e-9:
@@ -95,14 +96,13 @@ def continuous_psgm_run(
         raise ValueError("measure-zero initialization: b0 lies in the inlier subspace")
 
     forbidden = 1.0 / (problem.p * problem.c_D) if problem.p > 0 else math.inf
-
-    def step(k):
-        mu = step_size(schedule, k)
-        if mu == forbidden:
-            raise ValueError(
-                f"forbidden step: mu = 1/(p c_D) = {forbidden:.17g} kills the complement component"
-            )
-        return mu
+    ks = [0]  # the iterations at which the step changes, within max_iters
+    if isinstance(schedule, ScheduleParams):
+        ks += range(schedule.K0, max_iters, schedule.K_star)
+    if forbidden in {step_size(schedule, k) for k in ks}:
+        raise ValueError(
+            f"forbidden step: mu = 1/(p c_D) = {forbidden:.17g} kills the complement component"
+        )
 
     def grad(X, _, rows):
         x = X[0]
@@ -119,7 +119,7 @@ def continuous_psgm_run(
     (b, trace), = descend(
         [b], lambda X, rows: (np.array([continuous_objective(problem, X[0])]), None), grad,
         retract, lambda X, Y: np.array([math.acos(min(max(float(X[0] @ Y[0]), -1.0), 1.0))]),
-        lambda G: np.array([G[0] @ G[0]]), step, max_iters, stop_tol,
+        lambda G: np.array([G[0] @ G[0]]), schedule, max_iters, stop_tol,
         angle=lambda x: math.acos(min(comp_norm(x), 1.0)), record_iterates=record_iterates,
     )
     return b, trace

@@ -90,8 +90,9 @@ def continuous_limit_stats(d: int, D: int) -> GeometryStats:
 class ScheduleParams:
     """Piecewise-geometric step rule: mu0 for k < K0, then mu0 * beta^(floor((k-K0)/K_star)+1).
 
-    mu0 may be a scalar, a per-instance tuple, or None (resolved by the solver
-    from the first iterate).
+    The solver takes it as a step schedule directly, and the recovery
+    conditions are stated for it. mu0 may be a scalar, a per-instance tuple,
+    or None (resolved by the solver from the first iterate).
     """
 
     mu0: float | tuple[float, ...] | None

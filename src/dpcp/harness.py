@@ -142,11 +142,7 @@ def config_to_json(config: ExperimentConfig, path: str) -> None:
 
 
 def config_from_json(path: str) -> ExperimentConfig:
-    raw = fields_from_json(ExperimentConfig, path)
-    for key in ("N_grid", "M_grid", "methods", "codim_grid", "r_grid"):
-        if key in raw and raw[key] is not None:
-            raw[key] = tuple(raw[key])
-    return ExperimentConfig(**raw)
+    return ExperimentConfig(**fields_from_json(ExperimentConfig, path))
 
 
 def derive_seed(master: int, *parts) -> int:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import types
+import typing
 
 import numpy as np
 
@@ -27,9 +30,27 @@ def to_json(obj) -> str:
     return json.dumps(as_plain(obj), indent=2, allow_nan=True)
 
 
+def _typed(value, tp):
+    """value as a field of type tp, with JSON lists as tuples; a bool is not a
+    number, and an int is a valid float. Raises ValueError on a mismatch."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        for arm in args:
+            with contextlib.suppress(ValueError):
+                return _typed(value, arm)
+    elif origin is tuple:
+        if isinstance(value, list):
+            return tuple(_typed(v, args[0]) for v in value)
+    elif isinstance(value, bool) == (tp is bool) and isinstance(
+            value, (int, float) if tp is float else tp):
+        return value
+    raise ValueError
+
+
 def fields_from_json(cls, path: str) -> dict:
     """The JSON object in the file at path as keyword arguments of the dataclass
-    cls; raises ValueError naming every unknown key and missing required field."""
+    cls; raises ValueError naming every unknown key and missing required field,
+    or the first value that does not match its field's type."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -42,6 +63,14 @@ def fields_from_json(cls, path: str) -> dict:
            if keys]
     if bad:
         raise ValueError(f"{path}: {'; '.join(bad)} for {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        try:
+            raw[key] = _typed(value, hints[key])
+        except ValueError:
+            tp = hints[key]
+            name = str(tp) if typing.get_origin(tp) else tp.__name__
+            raise ValueError(f"{path}: {key} must be {name}, got {value!r}") from None
     return raw
 
 

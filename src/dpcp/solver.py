@@ -6,9 +6,11 @@ instances and the columns jointly span the complement of the inlier subspace;
 no orthogonality constraint ties the instances together, so they parallelize
 and decouple completely.
 
-Step rules: a constant step, a piecewise-geometric decay (flat for K0
-iterations, then decaying by beta every K_star), or a monotone backtracking
-line search (MBLS) that accepts a step only on sufficient decrease.
+Step rules (StepSchedule): a constant step (Constant), the piecewise-geometric
+decay of geometry.ScheduleParams (flat for K0 iterations, then decaying by
+beta every K_star), or a monotone backtracking line search (MBLS) with fixed
+constants that accepts a step only on sufficient decrease. A step whose
+candidate collapses to the zero vector raises ValueError under every rule.
 
 The instances share their products but stay numerically independent. They
 run as a panel of PANEL_WIDTH rows, one instance per row, so one block
@@ -25,8 +27,8 @@ can still change with the BLAS build and its thread count.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,38 +52,28 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class PiecewiseGeometric:
-    """Piecewise-geometric decay driven by ScheduleParams."""
-
-    params: ScheduleParams
-
-
-@dataclass(frozen=True)
 class MBLS:
     """Monotone backtracking line search.
 
     A candidate step mu is accepted iff
         f(project(b - mu g)) <= f(b) - alpha * mu * ||g||^2;
-    on rejection mu shrinks, after an accept the next trial step grows.
-    mu_init=None resolves to f(b0) / ||g(b0)||^2.
+    on rejection mu shrinks, at most max_backtracks times per iteration, and
+    the next trial step grows from the one taken. alpha, shrink, grow and
+    max_backtracks are fixed; mu_init=None resolves to f(b0) / ||g(b0)||^2.
     """
 
     mu_init: float | None = None
-    alpha: float = 1e-3
-    shrink: float = 0.5
-    grow: float = 1.5
-    max_backtracks: int = 50
+    alpha: ClassVar[float] = 1e-3
+    shrink: ClassVar[float] = 0.5
+    grow: ClassVar[float] = 1.5
+    max_backtracks: ClassVar[int] = 50
 
     def __post_init__(self):
         if self.mu_init is not None and not self.mu_init > 0:
             raise ValueError("invalid step: mu_init must be > 0")
-        if not 0 < self.shrink < 1 or not self.grow >= 1 or not self.alpha > 0:
-            raise ValueError("invalid MBLS parameters")
-        if self.max_backtracks < 1:
-            raise ValueError("invalid MBLS parameters: max_backtracks >= 1")
 
 
-StepSchedule = Constant | PiecewiseGeometric | MBLS
+StepSchedule = Constant | ScheduleParams | MBLS
 
 
 def step_size(schedule: StepSchedule, k: int, instance: int = 0) -> float | None:
@@ -89,14 +81,13 @@ def step_size(schedule: StepSchedule, k: int, instance: int = 0) -> float | None
     is resolved inside the solver loop by the accept test."""
     if isinstance(schedule, Constant):
         return schedule.mu
-    if isinstance(schedule, PiecewiseGeometric):
-        p = schedule.params
-        mu0 = p.mu0_for(instance)
+    if isinstance(schedule, ScheduleParams):
+        mu0 = schedule.mu0_for(instance)
         if mu0 is None:
             raise ValueError("mu0 is unresolved; supply a numeric value or run the solver")
-        if k < p.K0:
+        if k < schedule.K0:
             return mu0
-        return mu0 * p.beta ** ((k - p.K0) // p.K_star + 1)
+        return mu0 * schedule.beta ** ((k - schedule.K0) // schedule.K_star + 1)
     if isinstance(schedule, MBLS):
         return None
     raise TypeError(f"unknown schedule {type(schedule).__name__}")
@@ -224,37 +215,22 @@ def schedule_from(kind: str, mu0: float | None, beta: float, K0: int, K_star: in
             raise ValueError("schedule 'const' needs a numeric --mu0 (config field mu0)")
         return Constant(mu0)
     if kind == "pgd":
-        return PiecewiseGeometric(ScheduleParams(mu0=mu0, beta=beta, K0=K0, K_star=K_star))
+        return ScheduleParams(mu0=mu0, beta=beta, K0=K0, K_star=K_star)
     return MBLS(mu_init=mu0)
-
-
-def _resolve_step(schedule, mu_auto: float, instance: int):
-    """Open-loop step rule of one problem, a function k -> mu; mu_auto fills a
-    first step the schedule leaves open."""
-    if callable(schedule):
-        return schedule
-    if isinstance(schedule, PiecewiseGeometric) and schedule.params.mu0_for(instance) is None:
-        schedule = PiecewiseGeometric(dataclasses.replace(schedule.params, mu0=mu_auto))
-    return functools.partial(step_size, schedule, instance=instance)
 
 
 class _Run:
     """What the loop keeps of one problem while it holds a panel slot."""
 
-    def __init__(self, index: int, angle, record_iterates: bool):
+    def __init__(self, index: int, rule: StepSchedule, angle, record_iterates: bool):
         self.index = index
         self.k = 0
-        self.rule = None
+        self.rule = rule  # the schedule, with an open first step filled in once known
         self.objs: list[float] = []
         self.steps: list[float] = []
         self.backs: list[int] = []
         self.angles: list[float] | None = [] if angle is not None else None
         self.iterates: list[np.ndarray] | None = [] if record_iterates else None
-
-
-def _degenerate(C: np.ndarray) -> np.ndarray:
-    """Rows of retracted candidates that hold NaN, retract's mark of a degenerate step."""
-    return np.isnan(C).reshape(len(C), -1).any(axis=1)
 
 
 def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, stop_tol,
@@ -266,27 +242,27 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
     starts wait in a queue; when a problem stops, the next start takes its
     slot. The callbacks act on the panel, and `rows` names its live slots:
     value(X, rows) returns (f of those rows, aux), where aux is indexed by
-    slot, holds every row of X (or is None) and keeps what grad needs, so
-    the last value call of an iteration serves every live row's next
-    subgradient;
-    grad(X, aux, rows) returns the
-    subgradients of those rows, or None when every one of them is stationary;
-    retract(C) maps stepped rows back onto the feasible set, a row of NaN
-    marking a degenerate step, which raises ValueError; distance(X, Y) and
-    sqnorm(G) act row by row. value and grad may spend one product on the
+    slot, holds every row of X (or is None) and keeps what grad needs, so the
+    last value call of an iteration serves every live row's next subgradient;
+    grad(X, aux, rows) returns the subgradients of those rows, or None when
+    every one of them is stationary; retract(C) maps stepped rows back onto
+    the feasible set, a row of NaN marking a degenerate step; distance(X, Y)
+    and sqnorm(G) act row by row. value and grad may spend one product on the
     whole panel, so an idle slot keeps its last iterate and step.
 
-    step is a StepSchedule or a function k -> mu; a first step the schedule
-    leaves open becomes f(x0)/sqnorm(g(x0)), or 1 when that norm is 0, from
-    the loop's own first value and subgradient. MBLS tries every live row's
-    candidate in one value call per backtracking round (a row that has
-    stopped searching recomputes the same bits), and a row reuses its
-    accepted candidate's value as the next iterate's. An open-loop step is
-    one such round without the descent test. sqnorm(g) is the
-    ||g||^2 of the first step and the MBLS descent test, passed in because
-    each method rounds it its own way and the accept decisions depend on
-    those bits. A problem stops when distance(x, x_new) < stop_tol or after
-    max_iters steps. angle(x), when given, is recorded for every iterate.
+    step is a StepSchedule. A first step it leaves open becomes
+    f(x0)/sqnorm(g(x0)), or 1 when that norm is 0, from the loop's own first
+    value and subgradient, in the round the start takes its slot. A
+    degenerate candidate raises ValueError under every schedule; MBLS does
+    not shrink its way past it. MBLS tries every live row's candidate in one
+    value call per backtracking round (a row that has stopped searching
+    recomputes the same bits), and a row reuses its accepted candidate's
+    value as the next iterate's. An open-loop step is one such round without
+    the descent test. sqnorm(g) is the ||g||^2 of the first step and the MBLS
+    descent test, passed in because each method rounds it its own way and
+    the accept decisions depend on those bits. A problem stops when
+    distance(x, x_new) < stop_tol or after max_iters steps. angle(x), when
+    given, is recorded for every iterate.
     Returns (x, Trace) per start, in the order of `starts`.
     """
     if max_iters < 1:
@@ -320,15 +296,11 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
         ))
         slots[s] = None
 
-    def degenerate(s):
-        i = slots[s].index
-        raise ValueError(f"degenerate step: the update of start {i} collapsed to the zero vector")
-
     while True:
         new = []
         for s in range(width):
             if slots[s] is None and (i := next(queue, None)) is not None:
-                slots[s] = _Run(i, angle, record_iterates)
+                slots[s] = _Run(i, step, angle, record_iterates)
                 X[s] = starts[i]
                 new.append(s)
         if new:
@@ -344,29 +316,28 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
                 finish(s, "stationary")
             continue
         gn2 = sqnorm(G)
-        for j, s in enumerate(act):
-            run = slots[s]
-            if run.k == 0:  # first iterate: an open first step comes from its f and g
-                mu_auto = F[s] / gn2[j] if gn2[j] > 0 else 1.0
-                if mbls:
-                    MU[s] = mu_auto if step.mu_init is None else step.mu_init
-                else:
-                    run.rule = _resolve_step(step, mu_auto, run.index)
+        for s, j in zip(new, np.searchsorted(act, new)):  # an open first step from f and g at x0
+            mu_auto = F[s] / gn2[j] if gn2[j] > 0 else 1.0
+            if mbls:
+                MU[s] = mu_auto if step.mu_init is None else step.mu_init
+            elif isinstance(step, ScheduleParams) and step.mu0 is None:
+                slots[s].rule = dataclasses.replace(step, mu0=mu_auto)
         if mbls:
             mu, alpha, max_back = MU[act], step.alpha, step.max_backtracks
         else:
-            mu, alpha, max_back = np.array([slots[s].rule(slots[s].k) for s in act]), 0.0, 0
+            runs = [slots[s] for s in act]
+            mu, alpha, max_back = np.array([step_size(r.rule, r.k, r.index) for r in runs]), 0.0, 0
         C = X.copy()
-        f_new = np.full(len(act), np.nan)
         nback = np.zeros(len(act), dtype=int)
         while True:
-            C[act] = retract(X[act] - mu.reshape(bshape) * G)
-            ok = ~_degenerate(C[act])
-            lost = ~ok & (nback >= max_back)
+            moved = retract(X[act] - mu.reshape(bshape) * G)
+            lost = np.isnan(moved.reshape(len(act), -1)).any(axis=1)
             if lost.any():
-                degenerate(act[lost][0])
-            f_new[ok], AUX = value(C, act[ok])
-            descent = ok & (f_new <= F[act] - alpha * mu * gn2)
+                raise ValueError(f"degenerate step: the update of start "
+                                 f"{slots[act[lost][0]].index} collapsed to the zero vector")
+            C[act] = moved
+            f_new, AUX = value(C, act)
+            descent = f_new <= F[act] - alpha * mu * gn2
             searching = ~descent & (nback < max_back)
             if not searching.any():
                 break
@@ -374,7 +345,6 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
             nback[searching] += 1
         if mbls:
             MU[act] = mu * step.grow
-        moved = C[act]
         stopped = (distance(X[act], moved) < stop_tol).tolist()
         X[act] = moved
         F[act] = f_new
@@ -474,7 +444,7 @@ def psgm_multi(
     c_prime run with the same master seed, bit for bit.
     """
     schedule = config.schedule
-    mu0 = schedule.params.mu0 if isinstance(schedule, PiecewiseGeometric) else None
+    mu0 = schedule.mu0 if isinstance(schedule, ScheduleParams) else None
     if isinstance(mu0, tuple) and len(mu0) != config.c_prime:
         raise ValueError(
             f"per-instance mu0 has {len(mu0)} entries for c_prime = {config.c_prime} instances"

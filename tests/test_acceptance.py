@@ -60,9 +60,7 @@ def verdict(capfd):
 
 def _fixed_point_angles() -> list[float]:
     """Simulator limit vs closed form over 50 (subspace, start) pairs."""
-    schedule = solver.PiecewiseGeometric(
-        geometry.ScheduleParams(mu0=0.3, beta=0.5, K0=500, K_star=5)
-    )
+    schedule = geometry.ScheduleParams(mu0=0.3, beta=0.5, K0=500, K_star=5)
     angles = []
     for child in np.random.SeedSequence(MASTER).spawn(50):
         rng = np.random.default_rng(child)
@@ -252,9 +250,7 @@ def test_10_scaled_perturbed_recursion_identity(verdict):
     proj = lambda v: Sp @ (Sp.T @ v)
     config = solver.SolverConfig(
         c_prime=1, max_iters=40, stop_tol=0.0, seed=0, record_iterates=True,
-        schedule=solver.PiecewiseGeometric(
-            geometry.ScheduleParams(mu0=0.05, beta=0.5, K0=10, K_star=5)
-        ),
+        schedule=geometry.ScheduleParams(mu0=0.05, beta=0.5, K0=10, K_star=5),
     )
     starts = unit_sphere_columns(np.random.default_rng(MASTER + 10), 20, 10)
     worst = 0.0

@@ -141,6 +141,19 @@ def test_theory_stats_rejects_unknown_keys(limit_stats, tmp_path, capsys):
     assert "unknown keys ['eta'] for GeometryStats" in err
 
 
+@pytest.mark.parametrize("key, value", [("c_X_min", "0.5"), ("c_D", True), ("c_d", [0.5]),
+                                        ("estimation_meta", 3)])
+def test_theory_stats_rejects_mistyped_values(limit_stats, tmp_path, key, value, capsys):
+    with open(limit_stats) as fh:
+        stats = json.load(fh)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(stats, **{key: value})))
+    code, _, err = run_cli(["theory", "--stats", str(bad), "--N", "10", "--M", "10",
+                            "--D", "16", "--cprime", "4"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and f"{key} must be" in err
+
+
 def test_theory_from_data_prints_its_seed(dataset, capsys):
     code, out, _ = run_cli(["theory", "--in", dataset, "--seed", "3", "--D", "8",
                             "--cprime", "2", "--mu0", "1e-4"], capsys)
@@ -215,6 +228,44 @@ def test_grid_command_runs_config_and_rejects_kind_mismatch(tmp_path, capsys):
         code, _, err = run_cli(["codim", "--config", str(cfg_path)], capsys)
         assert code == 2
         assert err.startswith("error: ") and message in err
+
+
+_CODIM_DOC = {"kind": "codim_sweep", "D": 6, "N": 40, "codim_grid": [2], "r_grid": [0.5],
+              "c_prime": 3, "max_iters": 20}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("D", "20"), ("mu0", [0.1, 0.2]), ("codim_grid", 2), ("max_iters", 20.5),
+    ("trials", True), ("r_grid", [0.5, "0.6"]), ("codim_grid", [2.0]), ("methods", "psgm"),
+])
+def test_grid_config_rejects_mistyped_values(tmp_path, key, value, capsys):
+    cfg_path = tmp_path / "codim.json"
+    cfg_path.write_text(json.dumps(dict(_CODIM_DOC, **{key: value})))
+    code, _, err = run_cli(["codim", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and f"{key} must be" in err
+
+
+def test_grid_config_takes_ints_as_floats_and_lists_as_tuples(tmp_path):
+    cfg_path = tmp_path / "codim.json"
+    cfg_path.write_text(json.dumps(dict(_CODIM_DOC, mu0=1, d=None, methods=["psgm"])))
+    cfg = harness.config_from_json(str(cfg_path))
+    assert cfg.mu0 == 1 and cfg.codim_grid == (2,) and cfg.methods == ("psgm",)
+
+
+def test_table_commands_reject_a_bad_out_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    cfg_path = tmp_path / "codim.json"
+    cfg_path.write_text(json.dumps(_CODIM_DOC))
+    out = str(tmp_path / "table.json")
+    for argv in (["codim", "--config", str(cfg_path)],
+                 ["continuous", "--D", "4", "--d", "2", "--p", "0.5", "--cprime", "2"]):
+        code, _, err = run_cli(argv + ["--out", out], capsys)
+        assert code == 2
+        assert "result tables are .csv" in err
 
 
 def test_dispatch_usage_and_runtime_exit_codes(dataset, tmp_path, capsys):

@@ -12,7 +12,7 @@ from dpcp.continuous import (
 )
 from dpcp.dataset import sample_haar_subspace, unit_sphere_columns
 from dpcp.geometry import ScheduleParams, hemisphere_height
-from dpcp.solver import MBLS, Constant, PiecewiseGeometric
+from dpcp.solver import MBLS, Constant
 
 from helpers import angle_between, rand_unit
 
@@ -60,7 +60,7 @@ def test_run_converges_to_closed_form_limit():
     pr = _problem(seed=5)
     b0 = rand_unit(np.random.default_rng(4), 8)
     fp = continuous_fixed_point(pr.subspace, b0)
-    sched = PiecewiseGeometric(ScheduleParams(mu0=0.3, beta=0.5, K0=50, K_star=5))
+    sched = ScheduleParams(mu0=0.3, beta=0.5, K0=50, K_star=5)
     b, trace = continuous_psgm_run(pr, b0, sched, max_iters=1000, stop_tol=1e-15)
     assert angle_between(b, fp) < 1e-9
     assert trace.angle[-1] < 1e-9  # ends in the complement
@@ -118,7 +118,15 @@ def test_run_rejections():
     b0 = rand_unit(np.random.default_rng(12), 8)
     with pytest.raises(ValueError, match="forbidden step"):
         continuous_psgm_run(pr, b0, Constant(forbidden))
-    with pytest.raises(TypeError, match="Constant and PiecewiseGeometric"):
+    # a decaying schedule is checked before the run over every step it takes
+    # within max_iters: here the first decay, at k = K0 = 3, halves 2/(p c_D)
+    decaying = ScheduleParams(mu0=2.0 * forbidden, beta=0.5, K0=3, K_star=2)
+    with pytest.raises(ValueError, match="forbidden step"):
+        continuous_psgm_run(pr, b0, decaying, max_iters=4)
+    continuous_psgm_run(pr, b0, decaying, max_iters=3)
+    with pytest.raises(ValueError, match="unresolved"):
+        continuous_psgm_run(pr, b0, ScheduleParams(mu0=None, beta=0.5, K0=3, K_star=2))
+    with pytest.raises(TypeError, match="Constant and ScheduleParams"):
         continuous_psgm_run(pr, b0, MBLS())
     with pytest.raises(ValueError, match="unit norm"):
         continuous_psgm_run(pr, 2.0 * b0, Constant(0.1))
@@ -132,7 +140,7 @@ def test_run_pure_inlier_mass():
     fp = continuous_fixed_point(pr.subspace, b0)
     # the flat phase must carry enough step mass (K0 mu0 c_d > theta0) before
     # the decay takes over, or the iterate freezes short of the complement
-    sched = PiecewiseGeometric(ScheduleParams(mu0=0.1, beta=0.5, K0=80, K_star=10))
+    sched = ScheduleParams(mu0=0.1, beta=0.5, K0=80, K_star=10)
     b, _ = continuous_psgm_run(pr, b0, sched, max_iters=800, stop_tol=1e-15)
     assert angle_between(b, fp) < 1e-6
 

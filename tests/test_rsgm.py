@@ -7,11 +7,11 @@ from dpcp.analysis import max_subspace_angle, principal_angles, projection_dista
 from dpcp.dataset import INLIER, DataMatrix, generate_dataset, sample_haar_subspace
 from dpcp.geometry import ScheduleParams
 from dpcp.rsgm import OrthoBasis, rsgm_run, spectral_init
-from dpcp.solver import MBLS, PiecewiseGeometric
+from dpcp.solver import MBLS
 
 
 def _auto_pgd(beta=0.6, K0=30, K_star=10):
-    return PiecewiseGeometric(ScheduleParams(mu0=None, beta=beta, K0=K0, K_star=K_star))
+    return ScheduleParams(mu0=None, beta=beta, K0=K0, K_star=K_star)
 
 
 def test_ortho_basis_validation():

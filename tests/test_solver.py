@@ -17,7 +17,6 @@ from dpcp.solver import (
     PANEL_WIDTH,
     Constant,
     DualBasis,
-    PiecewiseGeometric,
     SolverConfig,
     Trace,
     average_terms,
@@ -44,24 +43,18 @@ def test_schedule_validation():
         Constant(mu=0.0)
     with pytest.raises(ValueError, match="invalid step"):
         MBLS(mu_init=-1.0)
-    with pytest.raises(ValueError, match="invalid MBLS"):
-        MBLS(shrink=1.0)
-    with pytest.raises(ValueError, match="invalid MBLS"):
-        MBLS(grow=0.9)
-    with pytest.raises(ValueError, match="max_backtracks"):
-        MBLS(max_backtracks=0)
 
 
 def test_step_size_piecewise_geometric():
-    sched = PiecewiseGeometric(ScheduleParams(mu0=0.3, beta=0.5, K0=3, K_star=2))
+    sched = ScheduleParams(mu0=0.3, beta=0.5, K0=3, K_star=2)
     mus = [step_size(sched, k) for k in range(8)]
     assert mus == [0.3, 0.3, 0.3, 0.15, 0.15, 0.075, 0.075, 0.0375]
     assert step_size(Constant(0.7), 123) == 0.7
     assert step_size(MBLS(), 0) is None
-    per_inst = PiecewiseGeometric(ScheduleParams(mu0=(0.1, 0.4), beta=0.5, K0=1, K_star=1))
+    per_inst = ScheduleParams(mu0=(0.1, 0.4), beta=0.5, K0=1, K_star=1)
     assert step_size(per_inst, 0, instance=1) == 0.4
     assert step_size(per_inst, 1, instance=1) == 0.2
-    unresolved = PiecewiseGeometric(ScheduleParams(mu0=None, beta=0.5, K0=1, K_star=1))
+    unresolved = ScheduleParams(mu0=None, beta=0.5, K0=1, K_star=1)
     with pytest.raises(ValueError, match="unresolved"):
         step_size(unresolved, 0)
     with pytest.raises(TypeError, match="unknown schedule"):
@@ -135,7 +128,7 @@ def test_psgm_single_converges_on_line():
     b0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
     # constant steps stall in a mu-sized neighborhood; the geometric decay
     # drives the iterate all the way onto the complement
-    sched = PiecewiseGeometric(ScheduleParams(mu0=0.01, beta=0.5, K0=5, K_star=5))
+    sched = ScheduleParams(mu0=0.01, beta=0.5, K0=5, K_star=5)
     cfg = SolverConfig(schedule=sched, max_iters=400, stop_tol=1e-15)
     b, trace = psgm_single(data, b0, cfg)
     assert abs(abs(b[1]) - 1.0) < 1e-8  # lands on the complement +-e2
@@ -161,7 +154,7 @@ def test_psgm_single_mbls_monotone_decrease():
 def test_psgm_single_trace_shapes_and_auto_mu0():
     data = _line_dataset(20)
     b0 = np.array([0.6, 0.8])
-    auto = PiecewiseGeometric(ScheduleParams(mu0=None, beta=0.5, K0=5, K_star=5))
+    auto = ScheduleParams(mu0=None, beta=0.5, K0=5, K_star=5)
     cfg = SolverConfig(schedule=auto, max_iters=30, stop_tol=0.0, record_iterates=True)
     b, trace = psgm_single(data, b0, cfg)
     assert trace.n_iterations == 30
@@ -185,26 +178,29 @@ def test_psgm_single_validation_and_early_stop():
 
 
 def test_degenerate_constant_step_raises():
-    # b - mu g = e1 - e1 = 0: no direction is left to normalize
+    # b - mu g = e1 - e1 = 0: no direction is left to normalize; MBLS's
+    # automatic first step f/||g||^2 = 1 lands there too, and does not
+    # backtrack past it
     data = DataMatrix(points=np.array([[1.0], [0.0]]))
-    with pytest.raises(ValueError, match="degenerate step"):
-        psgm_single(data, np.array([1.0, 0.0]), SolverConfig(schedule=Constant(1.0)))
+    for schedule in (Constant(1.0), MBLS()):
+        with pytest.raises(ValueError, match="degenerate step"):
+            psgm_single(data, np.array([1.0, 0.0]), SolverConfig(schedule=schedule))
 
 
 def test_trace_stop_reason():
     data = _line_dataset(20)
     b0 = np.array([0.6, 0.8])
-    sched = PiecewiseGeometric(ScheduleParams(mu0=0.01, beta=0.5, K0=5, K_star=5))
+    sched = ScheduleParams(mu0=0.01, beta=0.5, K0=5, K_star=5)
     _, capped = psgm_single(data, b0, SolverConfig(schedule=sched, max_iters=3, stop_tol=0.0))
     assert capped.stop_reason == "max_iters" and capped.n_iterations == 3
     _, done = psgm_single(data, b0, SolverConfig(schedule=sched, max_iters=400, stop_tol=1e-12))
     assert done.stop_reason == "converged" and done.n_iterations < 400
-    # one backtrack cannot rescue a huge first step; a loose stop_tol then
-    # ends the run on a step that failed the descent test
-    greedy = MBLS(mu_init=1e6, max_backtracks=1)
-    _, failed = psgm_single(data, b0, SolverConfig(schedule=greedy, stop_tol=4.0))
+    # at the minimizer (-1, 2)/sqrt(5) no step descends: all 50 backtracks
+    # fail, and the tiny rejected step then ends the run
+    corner = DataMatrix(points=np.array([[1.0, 1.0], [0.0, 0.5]]))
+    _, failed = psgm_single(corner, np.array([0.0, 1.0]), SolverConfig(schedule=MBLS()))
     assert failed.stop_reason == "backtracks_exhausted"
-    assert failed.objective[1] > failed.objective[0]
+    assert failed.backtracks.tolist() == [0, MBLS.max_backtracks]
 
 
 def test_psgm_multi_prefix_and_reproducibility():
@@ -233,7 +229,7 @@ def test_psgm_multi_recovers_complement():
 
 def test_psgm_multi_per_instance_mu0():
     data = _line_dataset(30)
-    sched = PiecewiseGeometric(ScheduleParams(mu0=(0.2, 0.05), beta=0.5, K0=2, K_star=1))
+    sched = ScheduleParams(mu0=(0.2, 0.05), beta=0.5, K0=2, K_star=1)
     basis = psgm_multi(data, SolverConfig(c_prime=2, seed=3, max_iters=5, stop_tol=0.0,
                                           schedule=sched))
     assert basis.traces[0].step[0] == 0.2
@@ -243,7 +239,7 @@ def test_psgm_multi_per_instance_mu0():
 def test_psgm_multi_rejects_per_instance_mu0_of_wrong_length():
     data = _line_dataset(30)
     for mu0 in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):
-        sched = PiecewiseGeometric(ScheduleParams(mu0=mu0, beta=0.5, K0=2, K_star=1))
+        sched = ScheduleParams(mu0=mu0, beta=0.5, K0=2, K_star=1)
         with pytest.raises(ValueError, match=f"{len(mu0)} entries for c_prime = 3"):
             psgm_multi(data, SolverConfig(c_prime=3, max_iters=5, schedule=sched))
 
