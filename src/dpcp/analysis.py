@@ -148,11 +148,11 @@ def classify_outliers(matrix: DataMatrix, complement_basis) -> np.ndarray:
 
     score_j = ||basis^T p_j||_2; a column is an outlier iff score > t, where t
     splits the largest gap in the sorted log scores (scores floored at 1e-9 of
-    the largest, so exact zeros cluster together); if every raw gap is below
-    1e-6 no column is called an outlier. The gap is taken multiplicatively
-    because inlier scores sit orders of magnitude below outlier scores, while
-    absolute spacings are largest among the top order statistics of the
-    outliers.
+    the largest, so exact zeros cluster together); if no raw gap exceeds 1e-6
+    of the largest score, no column is called an outlier, whatever the scale of
+    the data. The gap is taken multiplicatively because inlier scores sit orders
+    of magnitude below outlier scores, while absolute spacings are largest
+    among the top order statistics of the outliers.
     """
     B = _basis_array(complement_basis)
     if B.shape[0] != matrix.ambient_dim:
@@ -160,7 +160,7 @@ def classify_outliers(matrix: DataMatrix, complement_basis) -> np.ndarray:
     scores = np.linalg.norm(B.T @ matrix.points, axis=0)
     order = np.sort(scores)
     gaps = np.diff(order)
-    if gaps.size == 0 or gaps.max() < 1e-6:
+    if gaps.size == 0 or gaps.max() <= 1e-6 * order[-1]:
         t = np.inf
     else:
         floored = np.maximum(order, 1e-9 * order[-1])

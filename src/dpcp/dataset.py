@@ -31,6 +31,11 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _unit_columns(P: np.ndarray) -> bool:
+    """Whether every column norm is within 1e-9 of 1; the einsum needs no D x n temporary."""
+    return bool(np.all(np.abs(np.sqrt(np.einsum("ij,ij->j", P, P)) - 1.0) <= _UNIT_TOL))
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Column-point dataset.
@@ -54,19 +59,15 @@ class DataMatrix:
             raise ValueError("points contain non-finite entries")
         object.__setattr__(self, "points", _frozen_array(pts))
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype="U7")
+            lab = np.asarray(self.labels)
             if lab.shape != (pts.shape[1],):
-                raise ValueError(
-                    f"labels length {lab.shape} does not match {pts.shape[1]} columns"
-                )
-            bad = set(np.unique(lab)) - {INLIER, OUTLIER}
+                raise ValueError(f"labels length {lab.shape} does not match {pts.shape[1]} columns")
+            bad = set(lab.tolist()) - {INLIER, OUTLIER}  # before the U7 cast can truncate one
             if bad:
-                raise ValueError(f"labels must be '{INLIER}' or '{OUTLIER}', got {sorted(bad)}")
+                raise ValueError(f"labels must be {INLIER!r} or {OUTLIER!r}, got {sorted(bad, key=str)}")
             object.__setattr__(self, "labels", _frozen_array(lab, dtype="U7"))
-        if self.unit_normalized:
-            norms = np.linalg.norm(self.points, axis=0)
-            if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-                raise ValueError("unit_normalized is set but a column norm is off by more than 1e-9")
+        if self.unit_normalized and not _unit_columns(self.points):
+            raise ValueError("unit_normalized is set but a column norm is off by more than 1e-9")
 
     @property
     def ambient_dim(self) -> int:
@@ -158,23 +159,24 @@ def generate_dataset(model: SubspaceModel, N: int, M: int, seed: int) -> DataMat
     """N unit inliers in span(model.basis_S), M unit outliers on the full sphere.
 
     Inliers are Gaussian coefficient draws pushed through basis_S and
-    normalized; outliers are uniform sphere points. Columns are shuffled by a
-    seeded permutation; labels travel with their columns.
+    normalized; outliers are uniform sphere points. A seeded permutation drawn
+    last shuffles the columns: each is written once at its shuffled position,
+    with the bits of concatenate-then-permute. Labels travel with their columns.
     """
     if N < 0 or M < 0 or N + M < 1:
         raise ValueError("empty dataset: need N + M >= 1 with N, M >= 0")
     rng = np.random.default_rng(seed)
-    blocks = []
-    if N:
-        z = rng.standard_normal((model.inlier_dim, N))
-        x = model.basis_S @ z
-        blocks.append(x / np.linalg.norm(x, axis=0))
-    if M:
-        blocks.append(unit_sphere_columns(rng, model.ambient_dim, M))
-    pts = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    labels = np.array([INLIER] * N + [OUTLIER] * M)
+    inliers = model.basis_S @ rng.standard_normal((model.inlier_dim, N))
+    inliers /= np.linalg.norm(inliers, axis=0)
+    outliers = unit_sphere_columns(rng, model.ambient_dim, M)
     perm = rng.permutation(N + M)
-    return DataMatrix(points=pts[:, perm], labels=labels[perm], unit_normalized=True)
+    slot = np.empty_like(perm)
+    slot[perm] = np.arange(N + M)  # slot[i]: where block column i lands
+    pts = np.empty((model.ambient_dim, N + M))
+    pts[:, slot[:N]] = inliers
+    pts[:, slot[N:]] = outliers
+    del inliers, outliers  # only pts stays alive while the container copies it
+    return DataMatrix(points=pts, labels=np.where(perm < N, INLIER, OUTLIER), unit_normalized=True)
 
 
 def corrupt_with_outliers(matrix: DataMatrix, ratio: float, seed: int) -> DataMatrix:
@@ -292,7 +294,4 @@ def load_csv(path: str, orientation: str = "points") -> DataMatrix:
         labels = np.where(values[:, -1] == _LABEL_CODE["in"], INLIER, OUTLIER)
         values = values[:, :-1]
     pts = values.T if orientation == "points" else values
-    with np.errstate(over="ignore"):  # a norm that overflows to inf is not 1
-        norms = np.linalg.norm(pts, axis=0)
-    unit = bool(np.all(np.abs(norms - 1.0) <= _UNIT_TOL))
-    return DataMatrix(points=pts, labels=labels, unit_normalized=unit)
+    return DataMatrix(points=pts, labels=labels, unit_normalized=_unit_columns(pts))

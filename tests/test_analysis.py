@@ -143,6 +143,20 @@ def test_classify_outliers_auto_threshold():
         classify_outliers(data, np.eye(5)[:, :2])
 
 
+def test_classify_outliers_scale_invariant():
+    # the no-outlier cut is relative to the largest score, so scaling the
+    # points leaves every label
+    model = sample_haar_subspace(20, 17, seed=3)
+    data = generate_dataset(model, N=300, M=100, seed=4)
+    assert np.array_equal(classify_outliers(data, model.basis_Sperp), data.labels)
+    for scale in (1e-7, 1e7):
+        scaled = DataMatrix(points=scale * data.points, labels=data.labels)
+        assert np.array_equal(classify_outliers(scaled, model.basis_Sperp), data.labels)
+    # all-zero scores stay on the no-outlier branch, with no log(0)
+    zero = classify_outliers(DataMatrix(points=np.eye(3)[:, 1:]), np.eye(3)[:, :1])
+    assert set(zero) == {INLIER}
+
+
 def test_classify_outliers_flat_scores_mean_no_outliers():
     pts = np.eye(4)  # every score equal under the full-complement basis
     m = DataMatrix(points=pts)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -96,6 +97,52 @@ def test_generate_dataset_reproducible_and_pure_cases():
         generate_dataset(m, 0, 0, seed=1)
 
 
+def _concatenate_then_permute(model, N, M, seed):
+    """The two-block construction that generate_dataset must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    if N:
+        x = model.basis_S @ rng.standard_normal((model.inlier_dim, N))
+        blocks.append(x / np.linalg.norm(x, axis=0))
+    if M:
+        blocks.append(unit_sphere_columns(rng, model.ambient_dim, M))
+    pts = np.concatenate(blocks, axis=1)
+    labels = np.array([INLIER] * N + [OUTLIER] * M)
+    perm = rng.permutation(N + M)
+    return pts[:, perm], labels[perm]
+
+
+@pytest.mark.parametrize(
+    "D, d, N, M", [(200, 190, 1500, 2250), (5, 2, 0, 7), (5, 2, 7, 0), (3, 1, 1, 0)]
+)
+def test_generate_dataset_shuffled_writes_keep_bits(D, d, N, M):
+    model = sample_haar_subspace(D, d, seed=11)
+    data = generate_dataset(model, N, M, seed=12)
+    pts, labels = _concatenate_then_permute(model, N, M, seed=12)
+    assert np.array_equal(data.points, pts)
+    assert np.array_equal(data.labels, labels)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_construction_peak_memory():
+    # the two blocks and the preallocated array, then that array and the
+    # container's own copy: about twice the output at any moment
+    model = sample_haar_subspace(200, 190, seed=11)
+    out = generate_dataset(model, 1500, 2250, seed=12).points
+    assert _traced_peak(lambda: generate_dataset(model, 1500, 2250, seed=12)) <= 3 * out.nbytes
+    # the unit-norm check adds no D x n temporary to the defensive copy
+    P = np.array(out)
+    assert _traced_peak(lambda: DataMatrix(points=P, unit_normalized=True)) <= 1.25 * P.nbytes
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=1, max_value=200),
        num=st.integers(min_value=0, max_value=100))
@@ -159,6 +206,10 @@ def test_data_matrix_validation():
         DataMatrix(points=np.eye(3), labels=np.array([INLIER]))
     with pytest.raises(ValueError, match="labels must be"):
         DataMatrix(points=np.eye(2), labels=np.array(["a", "b"]))
+    # labels are checked before the U7 cast, which would truncate them
+    for bad in ("outliers", "outlier_2", "inlier_x"):
+        with pytest.raises(ValueError, match=rf"got \['{bad}'\]"):
+            DataMatrix(points=np.eye(2), labels=[INLIER, bad])
     with pytest.raises(ValueError, match="unit_normalized"):
         DataMatrix(points=2.0 * np.eye(3), unit_normalized=True)
 
