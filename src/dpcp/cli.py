@@ -42,14 +42,20 @@ def _schedule_from_args(args) -> solver.StepSchedule:
     return solver.schedule_from(args.schedule, args.mu0, args.beta, args.K0, args.K_star)
 
 
-def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schedule", choices=["const", "pgd", "mbls"], default="mbls")
+def _add_step_flags(p: argparse.ArgumentParser, beta: float = 0.6, K0: int = 30,
+                    K_star: int = 10, stop_tol: float = 1e-9, schedule: bool = True,
+                    descent: bool = True) -> None:
+    """The step-rule flags at this command's defaults: --schedule when it picks a
+    rule, and --max-iters and --stop-tol when it runs a descent."""
+    if schedule:
+        p.add_argument("--schedule", choices=["const", "pgd", "mbls"], default="mbls")
     p.add_argument("--mu0", type=_mu0_or_auto, default="auto", help="initial step, or 'auto'")
-    p.add_argument("--beta", type=float, default=0.6)
-    p.add_argument("--K0", type=int, default=30)
-    p.add_argument("--Kstar", dest="K_star", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--stop-tol", type=float, default=1e-9)
+    p.add_argument("--beta", type=float, default=beta)
+    p.add_argument("--K0", type=int, default=K0)
+    p.add_argument("--Kstar", dest="K_star", type=int, default=K_star)
+    if descent:
+        p.add_argument("--max-iters", type=int, default=1000)
+        p.add_argument("--stop-tol", type=float, default=stop_tol)
 
 
 def _add_input_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -250,13 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_basis_flags(p)
     p.add_argument("--seed", type=int)
-    _add_schedule_flags(p)
+    _add_step_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("rsgm", help="orthogonality-constrained baseline on a CSV dataset")
     _add_input_flags(p)
     _add_basis_flags(p)
-    _add_schedule_flags(p)
+    _add_step_flags(p)
     p.set_defaults(func=_cmd_rsgm)
 
     p = sub.add_parser("geometry", help="estimate permeance/coverage statistics")
@@ -275,10 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--cprime", type=int, required=True)
     p.add_argument("--theta0", type=float, default=0.0)
-    p.add_argument("--mu0", type=_mu0_or_auto, default="auto")
-    p.add_argument("--beta", type=float, default=0.6)
-    p.add_argument("--K0", type=int, default=30)
-    p.add_argument("--Kstar", dest="K_star", type=int, default=10)
+    _add_step_flags(p, schedule=False, descent=False)
     p.add_argument("--C1", type=float, default=1.0)
     p.add_argument("--C2", type=float, default=0.5)
     p.add_argument("--epsilon", type=float, default=1.0)
@@ -293,12 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cprime", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mu0", type=_mu0_or_auto, default="auto")
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--K0", type=int, default=50)
-    p.add_argument("--Kstar", dest="K_star", type=int, default=5)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--stop-tol", type=float, default=1e-14)
+    _add_step_flags(p, beta=0.5, K0=50, K_star=5, stop_tol=1e-14, schedule=False)
     p.add_argument("--out")
     p.add_argument("--plotdata")
     p.set_defaults(func=_cmd_continuous)

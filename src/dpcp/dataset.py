@@ -202,14 +202,19 @@ def corrupt_with_outliers(matrix: DataMatrix, ratio: float, seed: int) -> DataMa
 
 
 def normalize_columns(matrix: DataMatrix) -> DataMatrix:
-    """Scale every column to unit norm; a zero column is a hard error."""
-    norms = np.linalg.norm(matrix.points, axis=0)
+    """Scale every column to unit norm; a zero column is a hard error. A column
+    whose plain norm overflows, or underflows below sqrt(tiny) where it loses
+    digits, is first divided by its largest |entry|; the others keep their bits."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix.points, axis=0)
+    odd = (norms < np.sqrt(np.finfo(float).tiny)) | np.isinf(norms)
+    norms[odd] = np.abs(matrix.points[:, odd]).max(axis=0)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"degenerate column: column {zero[0]} has zero norm")
-    return DataMatrix(
-        points=matrix.points / norms, labels=matrix.labels, unit_normalized=True
-    )
+    pts = matrix.points / norms
+    pts[:, odd] /= np.linalg.norm(pts[:, odd], axis=0)
+    return DataMatrix(points=pts, labels=matrix.labels, unit_normalized=True)
 
 
 _LABEL_SHORT = {INLIER: "in", OUTLIER: "out"}

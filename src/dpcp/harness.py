@@ -8,8 +8,9 @@ Four experiment kinds share one config and result schema:
   continuous_check : closed-form limit vs simulator agreement
 
 Every cell derives its own seeds by hashing the cell parameters (not grid
-position), so sub-grids reproduce the matching rows of larger grids and all
-methods within a cell see identical data. A solved row's report is the
+position), so sub-grids reproduce the matching rows of larger grids. Each
+(cell, trial)'s data is built once and solved by every method of the cell,
+each with its own solver seed. A solved row's report is the
 analysis.RecoveryReport of its basis, minus the basis itself. Rows are sorted
 canonically before persistence; two runs of the same config write
 byte-identical tables.
@@ -18,11 +19,13 @@ byte-identical tables.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,6 +60,14 @@ _METHODS = {
     "outlier_pursuit": ("psgm", "rsgm", "rsgm_known"),
 }
 _ONE_METHOD = {"codim_sweep": "psgm", "continuous_check": "continuous"}
+# the config fields only some kinds read; a config that sets one its kind does
+# not read away from its default is rejected
+_READS = {
+    "phase_transition": {"d", "N_grid", "M_grid", "schedule_kind"},
+    "codim_sweep": {"N", "codim_grid", "r_grid", "schedule_kind"},
+    "outlier_pursuit": {"r_grid", "n_columns", "proxy_inlier_dim", "schedule_kind"},
+    "continuous_check": {"d", "p"},
+}
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,10 @@ class ExperimentConfig:
                 raise ValueError("continuous check needs 1 <= d < D")
             if self.c_prime < self.D - self.d:
                 raise ValueError("c_prime must be at least the codimension")
+        foreign = [f.name for f in fields(self) if getattr(self, f.name) != f.default
+                   and f.name in set().union(*_READS.values()) - _READS[self.kind]]
+        if foreign:
+            raise ValueError(f"a {self.kind} config does not read {foreign}")
         allowed = _METHODS.get(self.kind) or (_ONE_METHOD[self.kind],)
         bad = set(self.methods) - set(allowed)
         if bad:
@@ -173,9 +188,11 @@ class ResultTable:
     rows: list[ResultRow] = field(default_factory=list)
 
     def sorted_rows(self) -> list[ResultRow]:
-        return sorted(
-            self.rows, key=lambda r: (json.dumps(r.cell, sort_keys=True), r.method, r.trial)
-        )
+        return sorted(self.rows, key=_row_order)
+
+
+def _row_order(row: ResultRow) -> tuple:
+    return json.dumps(row.cell, sort_keys=True), row.method, row.trial
 
 
 def _solve_and_report(config: ExperimentConfig, model, matrix: DataMatrix, method: str,
@@ -208,29 +225,9 @@ def cell_data_seeds(config: ExperimentConfig, *cell_parts) -> tuple[int, int]:
     )
 
 
-def _phase_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
-                  seed: int) -> dict:
-    N, M = cell["N"], cell["M"]
-    model_seed, data_seed = cell_data_seeds(config, N, M, trial)
-    model = sample_haar_subspace(config.D, config.d, model_seed)
-    matrix = generate_dataset(model, N, M, data_seed)
-    c = model.codim if method == "rsgm" else config.c_prime
-    return _solve_and_report(config, model, matrix, method, seed, c)
-
-
 def ratio_to_counts(N: int, r: float) -> int:
     """Outlier count M giving outlier fraction r against N inliers."""
     return round(r * N / (1.0 - r))
-
-
-def _codim_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
-                  seed: int) -> dict:
-    c, r = cell["c"], cell["r"]
-    model_seed, data_seed = cell_data_seeds(config, c, r, trial)
-    M = ratio_to_counts(config.N, r)
-    model = sample_haar_subspace(config.D, config.D - c, model_seed)
-    matrix = generate_dataset(model, config.N, M, data_seed)
-    return _solve_and_report(config, model, matrix, method, seed, c)
 
 
 def hsi_proxy(D: int = 10, inlier_dim: int = 5, n_columns: int = 10000,
@@ -251,23 +248,7 @@ def hsi_proxy(D: int = 10, inlier_dim: int = 5, n_columns: int = 10000,
     return model, DataMatrix(points=x, labels=labels, unit_normalized=True)
 
 
-def _pursuit_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
-                    seed: int) -> dict:
-    r = cell["r"]
-    _, base = hsi_proxy(
-        D=config.D, inlier_dim=config.proxy_inlier_dim, n_columns=config.n_columns,
-        seed=derive_seed(config.seed, config.kind, "proxy"),
-    )
-    corrupt_seed = derive_seed(config.seed, config.kind, r, trial, "corrupt")
-    matrix = corrupt_with_outliers(base, r, corrupt_seed)
-    c = config.D - config.proxy_inlier_dim if method == "rsgm_known" else config.c_prime
-    return _solve_and_report(config, None, matrix, method, seed, c)
-
-
-def _continuous_report(config: ExperimentConfig, cell: dict, method: str, trial: int,
-                       seed: int) -> dict:
-    model_seed, _ = cell_data_seeds(config, trial)
-    model = sample_haar_subspace(config.D, config.d, model_seed)
+def _continuous_report(config: ExperimentConfig, model: SubspaceModel, seed: int) -> dict:
     problem = ContinuousProblem(subspace=model, p=config.p)
     B0 = unit_sphere_columns(np.random.default_rng(seed), config.D, config.c_prime)
     if config.p == 1.0:
@@ -290,49 +271,65 @@ def _continuous_report(config: ExperimentConfig, cell: dict, method: str, trial:
     }
 
 
-_REPORTS = {
-    "phase_transition": _phase_report,
-    "codim_sweep": _codim_report,
-    "outlier_pursuit": _pursuit_report,
-    "continuous_check": _continuous_report,
-}
-
-
-def _run_cell(config: ExperimentConfig, cell: dict, method: str, trial: int,
-              seed: int) -> ResultRow:
-    t0 = time.perf_counter()
-    try:
-        report, error = _REPORTS[config.kind](config, cell, method, trial, seed), None
-    except ValueError as e:  # a numerical failure (LinAlgError included) fails only its row
-        report, error = {}, str(e)
-    return ResultRow(cell=cell, method=method, trial=trial, seed=seed, report=report,
-                     wall_time=time.perf_counter() - t0, error=error)
-
-
-def _jobs(config: ExperimentConfig) -> list[tuple]:
-    """(cell, method, trial, seed) per row. The seed is the solver's,
-    derived from the cell values, trial and method, or for a continuous check
-    the seed of the trial's starts."""
-    k, trials = config.kind, range(config.trials)
+def _cell_solver(config: ExperimentConfig, vals: tuple, trial: int, proxy):
+    """Build the data of one (cell, trial) and return solve(method, seed) -> report
+    over it. Every rsgm method runs at c' but phase rsgm, at the true codimension,
+    and outlier-pursuit rsgm_known, at the proxy's D - proxy_inlier_dim."""
+    k = config.kind
     if k == "continuous_check":
-        return [(dict(zip(CELL_KEYS[k], (t,))), _ONE_METHOD[k], t,
-                 cell_data_seeds(config, t)[1]) for t in trials]
-    if k == "phase_transition":
-        cells = [((N, M), m) for N in config.N_grid for M in config.M_grid for m in config.methods]
-    elif k == "codim_sweep":
-        cells = [((c, r), _ONE_METHOD[k]) for c in config.codim_grid for r in config.r_grid]
+        model = sample_haar_subspace(config.D, config.d, cell_data_seeds(config, trial)[0])
+        return lambda method, seed: _continuous_report(config, model, seed)
+    if k == "outlier_pursuit":
+        model, widths = None, {"rsgm_known": config.D - config.proxy_inlier_dim}
+        corrupt_seed = derive_seed(config.seed, k, *vals, trial, "corrupt")
+        matrix = corrupt_with_outliers(proxy(), vals[0], corrupt_seed)
     else:
-        cells = [((r,), m) for r in config.r_grid for m in config.methods]
-    return [(dict(zip(CELL_KEYS[k], vals)), m, t,
-             derive_seed(config.seed, k, *vals, t, m, "solver"))
-            for vals, m in cells for t in trials]
+        model_seed, data_seed = cell_data_seeds(config, *vals, trial)
+        if k == "phase_transition":
+            (N, M), d = vals, config.d
+        else:
+            (c, r), N = vals, config.N
+            M, d = ratio_to_counts(N, r), config.D - c
+        model = sample_haar_subspace(config.D, d, model_seed)
+        matrix = generate_dataset(model, N, M, data_seed)
+        widths = {"rsgm": model.codim}
+    return lambda method, seed: _solve_and_report(config, model, matrix, method, seed,
+                                                  widths.get(method, config.c_prime))
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
-    """Run every (cell, method, trial) of the grid in this process; a cell that
-    raises ValueError becomes an error row."""
-    rows = [_run_cell(config, *job) for job in _jobs(config)]
-    return ResultTable(kind=config.kind, rows=ResultTable(config.kind, rows).sorted_rows())
+    """Run the grid in this process: each (cell, trial)'s data is built once and
+    solved by every method of the cell, one row each with its own solver seed
+    (for a continuous check, the seed of the trial's starts), and the first row
+    also times the build. The outlier-pursuit proxy base is built once per grid.
+    A ValueError (LinAlgError included) fails only the rows it reaches: one from
+    a solve, or every row from the build, which each retries."""
+    k = config.kind
+    proxy = functools.cache(lambda: hsi_proxy(
+        D=config.D, inlier_dim=config.proxy_inlier_dim, n_columns=config.n_columns,
+        seed=derive_seed(config.seed, k, "proxy"))[1])
+    axes = {"phase_transition": (config.N_grid, config.M_grid),
+            "codim_sweep": (config.codim_grid, config.r_grid),
+            "outlier_pursuit": (config.r_grid,)}
+    trials = range(config.trials)
+    cells = ([((t,), t) for t in trials] if k == "continuous_check"
+             else [(vals, t) for vals in itertools.product(*axes[k]) for t in trials])
+    rows = []
+    for vals, trial in cells:
+        cell, solve = dict(zip(CELL_KEYS[k], vals)), None
+        for method in config.methods or (_ONE_METHOD[k],):
+            seed = (cell_data_seeds(config, trial)[1] if k == "continuous_check"
+                    else derive_seed(config.seed, k, *vals, trial, method, "solver"))
+            t0 = time.perf_counter()
+            try:
+                solve = solve or _cell_solver(config, vals, trial, proxy)
+                report, error = solve(method, seed), None
+            except ValueError as e:
+                report, error = {}, str(e)
+            rows.append(ResultRow(cell=cell, method=method, trial=trial, seed=seed,
+                                  report=report, wall_time=time.perf_counter() - t0,
+                                  error=error))
+    return ResultTable(kind=k, rows=sorted(rows, key=_row_order))
 
 
 def exact_recovery_rates(table: ResultTable) -> dict[tuple, float]:

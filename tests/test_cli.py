@@ -253,6 +253,23 @@ def test_grid_config_takes_ints_as_floats_and_lists_as_tuples(tmp_path):
     assert cfg.mu0 == 1 and cfg.codim_grid == (2,) and cfg.methods == ("psgm",)
 
 
+_SOLVE_STEPS = dict(schedule="mbls", mu0=None, beta=0.6, K0=30, K_star=10, max_iters=1000,
+                    stop_tol=1e-9)
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["solve", "--in", "d.csv", "--cprime", "2"], _SOLVE_STEPS),
+    (["rsgm", "--in", "d.csv", "--cprime", "2"], _SOLVE_STEPS),
+    (["theory", "--D", "4", "--cprime", "2"], dict(mu0=None, beta=0.6, K0=30, K_star=10)),
+    (["continuous", "--D", "4", "--d", "2", "--p", "0.5", "--cprime", "2"],
+     dict(mu0=None, beta=0.5, K0=50, K_star=5, max_iters=1000, stop_tol=1e-14)),
+])
+def test_step_flag_defaults_per_command(argv, defaults):
+    args = vars(cli.build_parser().parse_args(argv))
+    assert {k: args[k] for k in defaults} == defaults
+    assert not (set(_SOLVE_STEPS) - set(defaults)) & set(args)  # flags it does not declare
+
+
 def test_table_commands_reject_a_bad_out_before_the_run(tmp_path, monkeypatch, capsys):
     def no_run(config):
         raise AssertionError("run_experiment was called")

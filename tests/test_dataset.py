@@ -195,6 +195,24 @@ def test_normalize_columns_zero_column_is_error():
         normalize_columns(DataMatrix(points=pts))
 
 
+@pytest.mark.parametrize("v", [1e154, 1e-160, 1e-170, 1e308, 5e-324])
+def test_normalize_columns_rescales_columns_whose_norm_overflows_or_underflows(v):
+    pts = np.array([[v, 1.0], [v, 2.0]])
+    got = normalize_columns(DataMatrix(points=pts)).points
+    assert np.array_equal(got[:, 0], np.full(2, 1.0 / math.sqrt(2.0)))
+    assert np.array_equal(got[:, 1], pts[:, 1] / np.linalg.norm(pts[:, 1]))
+    pts[:, 1] = 0.0  # a true zero column still fails, after an odd one
+    with pytest.raises(ValueError, match="degenerate column: column 1 has zero norm"):
+        normalize_columns(DataMatrix(points=pts))
+
+
+def test_normalize_columns_keeps_bits_of_ordinary_columns():
+    model = sample_haar_subspace(20, 15, seed=3)
+    pts = generate_dataset(model, 200, 100, seed=4).points * np.geomspace(1e-150, 1e150, 300)
+    got = normalize_columns(DataMatrix(points=pts)).points
+    assert np.array_equal(got, pts / np.linalg.norm(pts, axis=0))
+
+
 def test_data_matrix_validation():
     with pytest.raises(ValueError, match="2-D"):
         DataMatrix(points=np.ones(3))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,20 +178,65 @@ def test_run_continuous_check_smoke():
 
 
 def test_run_cell_turns_only_value_errors_into_error_rows(monkeypatch):
-    cfg = ExperimentConfig(kind="codim_sweep", D=8, N=60, codim_grid=(2,), r_grid=(0.2,),
-                           c_prime=4)
+    cfg = _phase_config(M_grid=(20, 10))
 
     def fail_with(exc):
-        def report(*args):
+        def fail(*args, **kwargs):
             raise exc
-        return report
+        return fail
 
-    monkeypatch.setitem(harness._REPORTS, "codim_sweep", fail_with(ValueError("singular")))
-    (row,) = run_experiment(cfg).rows
-    assert row.error == "singular" and row.report == {}
-    monkeypatch.setitem(harness._REPORTS, "codim_sweep", fail_with(TypeError("bug")))
+    # a failing build fails every method of its cell, a failing solve only its own row
+    monkeypatch.setattr(harness, "generate_dataset", fail_with(ValueError("singular")))
+    rows = run_experiment(cfg).rows
+    assert len(rows) == 8 and all(r.error == "singular" and r.report == {} for r in rows)
+    monkeypatch.undo()
+    monkeypatch.setattr(harness.rsgm, "rsgm_run", fail_with(ValueError("no polar")))
+    rows = run_experiment(cfg).rows
+    assert all((r.error == "no polar") == (r.method == "rsgm") for r in rows)
+    assert all(r.report for r in rows if r.method == "psgm")
+    monkeypatch.setattr(harness, "generate_dataset", fail_with(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         run_experiment(cfg)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_cell_builds_its_data_once_for_all_its_methods(monkeypatch):
+    calls = _count_calls(monkeypatch, "generate_dataset")
+    table = run_experiment(_phase_config(M_grid=(20, 10)))  # 2 cells, 2 methods, 2 trials
+    assert len(table.rows) == 8 and len(calls) == 4
+    assert len({args[3] for args in calls}) == 4  # one data seed per (cell, trial)
+    proxies = _count_calls(monkeypatch, "hsi_proxy")
+    table = run_experiment(ExperimentConfig(
+        kind="outlier_pursuit", D=6, proxy_inlier_dim=3, n_columns=200, r_grid=(0.25, 0.5),
+        methods=("rsgm", "rsgm_known"), c_prime=4, trials=1, seed=5, max_iters=30))
+    assert len(table.rows) == 4 and len(proxies) == 1
+
+
+@pytest.mark.parametrize("kind, base, foreign", [
+    ("phase_transition", dict(d=6, N_grid=(60,), M_grid=(20,)),
+     dict(N=50, r_grid=(0.2,), n_columns=50)),
+    ("codim_sweep", dict(N=60, codim_grid=(2,), r_grid=(0.2,)),
+     dict(d=3, N_grid=(5,), M_grid=(7,), p=0.3)),
+    ("outlier_pursuit", dict(r_grid=(0.5,), proxy_inlier_dim=3),
+     dict(d=3, N=40, codim_grid=(2,))),
+    ("continuous_check", dict(d=5, p=0.5), dict(proxy_inlier_dim=2, schedule_kind="pgd")),
+])
+def test_config_rejects_fields_its_kind_never_reads(kind, base, foreign):
+    ExperimentConfig(kind=kind, D=8, c_prime=4, **base)
+    message = f"a {kind} config does not read {list(foreign)}"  # in field order
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(kind=kind, D=8, c_prime=4, **base, **foreign)
 
 
 def _tiny_table():
