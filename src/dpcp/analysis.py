@@ -125,22 +125,25 @@ def projection_distance(B, A) -> float:
 
 
 def principal_angles(basis, model: SubspaceModel, against: str = "Sperp") -> np.ndarray:
-    """Per-column principal angle (radians) from the chosen subspace."""
+    """Per-column principal angle (radians) from the chosen subspace, the
+    atan2 of the column's norms in the other subspace and in the chosen one:
+    unlike an arccos of the cosine, it resolves angles below 1.5e-8."""
     B = _basis_array(basis)
-    target = model.basis_Sperp if against == "Sperp" else model.basis_S
-    h = np.linalg.norm(target.T @ B, axis=0)
-    return np.arccos(np.clip(h, 0.0, 1.0))
+    target, other = ((model.basis_Sperp, model.basis_S) if against == "Sperp"
+                     else (model.basis_S, model.basis_Sperp))
+    return np.arctan2(np.linalg.norm(other.T @ B, axis=0), np.linalg.norm(target.T @ B, axis=0))
 
 
 def max_subspace_angle(basis, target: np.ndarray) -> float:
-    """Largest principal angle between span(basis) and span(target); pi/2 when
-    span(basis) is wider than the target."""
+    """Largest principal angle between span(basis) and span(target), the atan2
+    of its sine and cosine, sigma_max(Q - T T^T Q) and sigma_min(T^T Q); pi/2
+    when span(basis) is wider than the target."""
     Q = _basis_array(basis)
     T = _basis_array(target)
     if Q.shape[1] > T.shape[1]:
         return math.pi / 2
-    s = np.linalg.svd(T.T @ Q, compute_uv=False)
-    return float(np.arccos(np.clip(s.min(), 0.0, 1.0)))
+    C = T.T @ Q
+    return math.atan2(np.linalg.norm(Q - T @ C, 2), np.linalg.svd(C, compute_uv=False).min())
 
 
 def classify_outliers(matrix: DataMatrix, complement_basis) -> np.ndarray:

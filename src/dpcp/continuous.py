@@ -116,9 +116,12 @@ def continuous_psgm_run(
         nc = np.linalg.norm(C[0])
         return C / nc if nc > 0 else np.full_like(C, np.nan)
 
+    def value(X, rows):
+        return np.array([continuous_objective(problem, X[0])]), [None]
+
     (b, trace), = descend(
-        [b], lambda X, rows: (np.array([continuous_objective(problem, X[0])]), None), grad,
-        retract, lambda X, Y: np.array([math.acos(min(max(float(X[0] @ Y[0]), -1.0), 1.0))]),
+        [b], value, grad, retract, lambda C, rows, *_: value(C, rows),
+        lambda X, Y: np.array([math.acos(min(max(float(X[0] @ Y[0]), -1.0), 1.0))]),
         lambda G: np.array([G[0] @ G[0]]), schedule, max_iters, stop_tol,
         angle=lambda x: math.acos(min(comp_norm(x), 1.0)), record_iterates=record_iterates,
     )

@@ -321,18 +321,6 @@ def k_diamond(mu: float, theta0: float, stats: GeometryStats, N: int, M: int) ->
     return t / den
 
 
-def k_star_lower_bound(beta: float, stats: GeometryStats, N: int, M: int) -> float:
-    """Smallest admissible decay period K_star for a given beta."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("need 0 < beta < 1")
-    den = math.sqrt(2.0) * beta * mu_prime(stats, N, M) * (
-        N * stats.c_X_min - (N * stats.eta_X + M * stats.eta_O)
-    )
-    if den <= 0:
-        raise ValueError("condition violated: nonpositive denominator, premises do not hold")
-    return 1.0 / den
-
-
 def beta_upper_bound(mu0: float, stats: GeometryStats, N: int, M: int, K_star: int) -> float:
     """Largest certified decay factor for one instance:
     ((1 - mu0 M c_D) / (1 + mu0 (N(eta_X + c_X_max) + M(eta_O + c_O_max))))^K_star."""

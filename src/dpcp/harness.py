@@ -132,6 +132,8 @@ class ExperimentConfig:
                 raise ValueError("outlier pursuit needs ratios in (0, 1)")
             if not 1 <= self.proxy_inlier_dim < self.D:
                 raise ValueError("invalid proxy dimensions")
+            if self.n_columns < 1:
+                raise ValueError(f"outlier pursuit needs n_columns >= 1, got {self.n_columns}")
         elif self.kind == "continuous_check":
             if self.p is None or not 0.0 < self.p <= 1.0:
                 raise ValueError("invalid ratio: continuous check needs 0 < p <= 1")

@@ -110,16 +110,17 @@ def rsgm_run(
 
     def value(X, rows):
         f, aux = _group_objective(A, X[0])
-        return np.array([f]), aux
+        return np.array([f]), [aux]
 
     def grad(X, aux, rows):
         nonlocal k
         k += 1  # one subgradient per iteration, so k numbers the step being retracted
-        return _riemannian_subgradient(A, X[0], *aux)[None]
+        return _riemannian_subgradient(A, X[0], *aux[0])[None]
 
     (Bt, trace), = descend(
         [Bt], value, grad,
         lambda C: _polar_retract(C[0], notes, k)[None],
+        lambda C, rows, *_: value(C, rows),
         lambda X, Y: np.array([np.linalg.norm(Y[0] - X[0])]),
         lambda G: np.array([np.sum(G[0] * G[0])]),
         schedule, max_iters, stop_tol,

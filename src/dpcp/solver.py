@@ -115,10 +115,13 @@ class SolverConfig:
 class Trace:
     """Per-iteration record of one instance.
 
-    objective[k] = f at iterate k (length K+1); step[k] = step taken from
-    iterate k (length K); angle[k] = principal angle of iterate k from the
-    known complement, when a model was supplied; iterates rows are the b-hat
-    sequence when recorded; backtracks counts MBLS rejections per iteration.
+    objective[k] = f at iterate k (length K+1); a psgm iterate reached by an
+    MBLS backtrack takes it from two images its panel already holds (see
+    _psgm_panel), so it can differ from a product's f in the last bits.
+    step[k] = step taken from iterate k (length K); angle[k] = principal
+    angle of iterate k from the known complement, when a model was supplied;
+    iterates rows are the b-hat sequence when recorded; backtracks counts
+    MBLS rejections per iteration.
     stop_reason is "converged" (the last step moved less than stop_tol),
     "backtracks_exhausted" (so did the last step, but it failed the MBLS
     descent test), "max_iters" or "stationary" (no descent direction left).
@@ -233,7 +236,7 @@ class _Run:
         self.iterates: list[np.ndarray] | None = [] if record_iterates else None
 
 
-def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, stop_tol,
+def descend(starts, value, grad, retract, shrunk, distance, sqnorm, step, max_iters, stop_tol,
             width=1, angle=None, record_iterates=False) -> list[tuple[np.ndarray, Trace]]:
     """The projected subgradient loop x <- retract(x - mu g) behind every method.
 
@@ -241,24 +244,27 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
     each with its own value, step, MBLS accept mask, stop test and Trace. The
     starts wait in a queue; when a problem stops, the next start takes its
     slot. The callbacks act on the panel, and `rows` names its live slots:
-    value(X, rows) returns (f of those rows, aux), where aux is indexed by
-    slot, holds every row of X (or is None) and keeps what grad needs, so the
-    last value call of an iteration serves every live row's next subgradient;
-    grad(X, aux, rows) returns the subgradients of those rows, or None when
-    every one of them is stationary; retract(C) maps stepped rows back onto
-    the feasible set, a row of NaN marking a degenerate step; distance(X, Y)
-    and sqnorm(G) act row by row. value and grad may spend one product on the
-    whole panel, so an idle slot keeps its last iterate and step.
+    value(X, rows) returns (f of those rows, aux), where aux[s] keeps what
+    grad needs at row s; grad(X, AUX, rows) returns the subgradients of those
+    rows from AUX, the list of every slot's aux at X, or None when every one
+    of them is stationary; retract(C) maps stepped rows back onto the
+    feasible set, a row of NaN marking a degenerate step; distance(X, Y) and
+    sqnorm(G) act row by row. value and grad may spend one product on the
+    whole panel, so an idle slot keeps its last iterate and step. A row's aux
+    is set only when that row takes a slot or a step, never by a neighbour's.
 
     step is a StepSchedule. A first step it leaves open becomes
     f(x0)/sqnorm(g(x0)), or 1 when that norm is 0, from the loop's own first
-    value and subgradient, in the round the start takes its slot. A
-    degenerate candidate raises ValueError under every schedule; MBLS does
-    not shrink its way past it. MBLS tries every live row's candidate in one
-    value call per backtracking round (a row that has stopped searching
-    recomputes the same bits), and a row reuses its accepted candidate's
-    value as the next iterate's. An open-loop step is one such round without
-    the descent test. sqnorm(g) is the ||g||^2 of the first step and the MBLS
+    value and subgradient, in the round the start takes its slot. Each round
+    values every live row's first candidate in one value call; an open-loop
+    step stops there. MBLS then shrinks the step of each row that fails the
+    descent test and values only those rows' new candidates, written into C,
+    with shrunk(C, rows, X, G, mu, mu1, AUX, first): G, mu and mu1 are those
+    rows' subgradients, steps and first-trial steps, first the first value
+    call's aux, and it returns (f, aux) as value does. A row keeps its
+    accepted candidate's f and aux for the next iterate. A degenerate
+    candidate raises ValueError under every schedule; MBLS does not shrink
+    its way past it. sqnorm(g) is the ||g||^2 of the first step and the MBLS
     descent test, passed in because each method rounds it its own way and
     the accept decisions depend on those bits. A problem stops when
     distance(x, x_new) < stop_tol or after max_iters steps. angle(x), when
@@ -271,6 +277,7 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
     X = np.zeros((width,) + np.shape(starts[0]))
     F = np.zeros(width)
     MU = np.zeros(width)
+    AUX: list = [None] * width
     bshape = (-1,) + (1,) * (X.ndim - 1)
     slots: list[_Run | None] = [None] * width
     queue = iter(range(len(starts)))
@@ -294,7 +301,15 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
             backtracks=np.asarray(run.backs, dtype=int) if mbls else None,
             stop_reason=reason,
         ))
-        slots[s] = None
+        slots[s] = AUX[s] = None
+
+    def candidates(rows, G, mu):
+        moved = retract(X[rows] - mu.reshape(bshape) * G)
+        lost = np.isnan(moved.reshape(len(rows), -1)).any(axis=1)
+        if lost.any():
+            raise ValueError(f"degenerate step: the update of start "
+                             f"{slots[rows[lost][0]].index} collapsed to the zero vector")
+        return moved
 
     while True:
         new = []
@@ -304,8 +319,9 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
                 X[s] = starts[i]
                 new.append(s)
         if new:
-            F[new], AUX = value(X, np.array(new))
+            F[new], aux = value(X, np.array(new))
             for s in new:
+                AUX[s] = aux[s]
                 record(s)
         act = np.array([s for s, run in enumerate(slots) if run is not None], dtype=int)
         if not act.size:
@@ -327,27 +343,32 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
         else:
             runs = [slots[s] for s in act]
             mu, alpha, max_back = np.array([step_size(r.rule, r.k, r.index) for r in runs]), 0.0, 0
+        mu1 = mu.copy()
         C = X.copy()
+        C[act] = moved = candidates(act, G, mu)
+        f_new, first = value(C, act)
+        cand = list(first)
         nback = np.zeros(len(act), dtype=int)
         while True:
-            moved = retract(X[act] - mu.reshape(bshape) * G)
-            lost = np.isnan(moved.reshape(len(act), -1)).any(axis=1)
-            if lost.any():
-                raise ValueError(f"degenerate step: the update of start "
-                                 f"{slots[act[lost][0]].index} collapsed to the zero vector")
-            C[act] = moved
-            f_new, AUX = value(C, act)
             descent = f_new <= F[act] - alpha * mu * gn2
             searching = ~descent & (nback < max_back)
             if not searching.any():
                 break
             mu[searching] *= step.shrink
             nback[searching] += 1
+            j = np.flatnonzero(searching)
+            rows = act[j]
+            C[rows] = moved[j] = candidates(rows, G[j], mu[j])
+            f_new[j], aux = shrunk(C, rows, X, G[j], mu[j], mu1[j], AUX, first)
+            for s in rows:
+                cand[s] = aux[s]
         if mbls:
             MU[act] = mu * step.grow
         stopped = (distance(X[act], moved) < stop_tol).tolist()
         X[act] = moved
         F[act] = f_new
+        for s in act:
+            AUX[s] = cand[s]
         for s, mu_s, n_s, desc_s, stop_s in zip(
                 act.tolist(), mu.tolist(), nback.tolist(), descent.tolist(), stopped):
             run = slots[s]
@@ -395,7 +416,14 @@ def _psgm_panel(matrix: DataMatrix, starts: list[np.ndarray], config: SolverConf
     The two products, S = X A for the values and A sgn(S)^T for the
     subgradients, always span the whole panel and read the C-contiguous
     points in place, without a copy of A^T; signs, sums and everything else
-    act on live rows only.
+    act on live rows only. A row's aux is its image S.
+
+    A backtracking candidate takes no product. The retraction only rescales,
+    so the candidate (x - mu g)/n of a row whose first trial was
+    (x - mu1 g)/n1 has the image ((1 - t) S_x + t n1 S_1)/n with t = mu/mu1,
+    from the iterate's image S_x and the first trial's S_1. Every shrunk
+    candidate is valued from those two, never from an earlier shrunk one,
+    so rounding does not build up within an iteration.
     """
     A = matrix.points
     signs = np.zeros((PANEL_WIDTH, A.shape[1]))
@@ -404,13 +432,27 @@ def _psgm_panel(matrix: DataMatrix, starts: list[np.ndarray], config: SolverConf
         S = X @ A
         return np.abs(S[rows]).sum(axis=1), S
 
-    def grad(X, S, rows):
-        signs[rows] = np.sign(S[rows])
+    def grad(X, aux, rows):
+        for s in rows:
+            np.sign(aux[s], out=signs[s])
         return (A @ signs.T).T[rows]
 
+    def shrunk(C, rows, X, G, mu, mu1, aux, first):
+        n, n1 = (np.linalg.norm(X[rows] - m[:, None] * G, axis=1) for m in (mu, mu1))
+        t = mu / mu1
+        S = np.array([aux[s] for s in rows])  # in place, to hold two row blocks at most
+        S *= (1.0 - t)[:, None]
+        S1 = first[rows]
+        S1 *= (t * n1)[:, None]
+        S += S1
+        del S1
+        S /= n[:, None]
+        return np.abs(S).sum(axis=1), dict(zip(rows, S))
+
     return descend(
-        starts, value, grad, _sphere_retract, _sphere_distance, lambda G: _row_dots(G, G),
-        config.schedule, config.max_iters, config.stop_tol, width=PANEL_WIDTH,
+        starts, value, grad, _sphere_retract, shrunk, _sphere_distance,
+        lambda G: _row_dots(G, G), config.schedule, config.max_iters, config.stop_tol,
+        width=PANEL_WIDTH,
         angle=(lambda x: float(principal_angles(x, model)[0])) if model is not None else None,
         record_iterates=config.record_iterates,
     )

@@ -120,15 +120,26 @@ def test_principal_angles_per_column():
     mixed = math.cos(t) * model.basis_Sperp[:, 0] + math.sin(t) * model.basis_S[:, 0]
     B = np.column_stack([model.basis_Sperp[:, 1], mixed])
     ang = principal_angles(B, model, against="Sperp")
-    assert abs(ang[0]) < 1e-7  # arccos loses half the digits near zero angle
+    assert abs(ang[0]) < 1e-15
     assert abs(ang[1] - t) < 1e-12
     flipped = principal_angles(B, model, against="S")
     assert abs(flipped[1] - (math.pi / 2 - t)) < 1e-12
 
 
+def test_angles_resolve_below_the_arccos_floor():
+    # arccos(cos 1e-10) is 0: one ulp of the cosine near 1 is 1.49e-8 rad
+    model = sample_haar_subspace(6, 4, seed=4)
+    t = 1e-10
+    tilted = model.basis_Sperp.copy()
+    tilted[:, 1] = math.cos(t) * tilted[:, 1] + math.sin(t) * model.basis_S[:, 0]
+    ang = principal_angles(tilted, model)
+    assert abs(ang[1] - t) < 1e-14 and ang[0] < 1e-15  # the basis is orthonormal to ~1e-16
+    assert abs(max_subspace_angle(tilted, model.basis_Sperp) - t) < 1e-14
+
+
 def test_max_subspace_angle():
     model = sample_haar_subspace(6, 4, seed=5)
-    assert max_subspace_angle(model.basis_Sperp, model.basis_Sperp) < 1e-7
+    assert max_subspace_angle(model.basis_Sperp, model.basis_Sperp) < 1e-15
     assert max_subspace_angle(model.basis_S[:, :1], model.basis_Sperp) > 1.5
     # wider candidate than target: pi/2 by convention
     assert max_subspace_angle(np.eye(6)[:, :3], np.eye(6)[:, :2]) == math.pi / 2

@@ -22,7 +22,6 @@ from dpcp.geometry import (
     estimate_stats,
     hemisphere_height,
     k_diamond,
-    k_star_lower_bound,
     kappa_and_r,
     mu_prime,
     recovery_condition,
@@ -221,12 +220,6 @@ def test_k_diamond_scaling_and_failure():
                          eta_X=0.05, eta_O=0.1, c_d=0.5, c_D=0.25)
     with pytest.raises(ValueError, match="condition violated"):
         k_diamond(0.01, 0.8, weak, N=100, M=50)
-
-
-def test_k_star_lower_bound_scales_inversely_with_beta():
-    a = k_star_lower_bound(0.25, HAND_STATS, N=100, M=50)
-    b = k_star_lower_bound(0.5, HAND_STATS, N=100, M=50)
-    assert a > 0 and abs(a - 2.0 * b) < 1e-9 * a
 
 
 def test_beta_upper_bound():

@@ -67,6 +67,14 @@ def test_config_validation():
                             r_grid=(0.5,)).methods == ("psgm", "rsgm", "rsgm_known")
 
 
+@pytest.mark.parametrize("n_columns", [0, -3])
+def test_pursuit_config_rejects_an_empty_proxy(n_columns):
+    # checked before any run, not left to fail every row of the grid
+    with pytest.raises(ValueError, match=f"n_columns >= 1, got {n_columns}"):
+        ExperimentConfig(kind="outlier_pursuit", D=4, proxy_inlier_dim=3, r_grid=(0.5,),
+                         n_columns=n_columns)
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = _phase_config()
     p = tmp_path / "cfg.json"

@@ -28,6 +28,7 @@ from dpcp.solver import (
     subgradient,
     trace_to_csv,
 )
+from dpcp.solver import _sphere_distance, _sphere_retract
 
 from helpers import (
     brute_objective,
@@ -245,8 +246,9 @@ def test_psgm_multi_rejects_per_instance_mu0_of_wrong_length():
 
 
 def test_psgm_single_mbls_products_per_iteration():
-    # one A^T b at the start, then per iteration one A sgn(A^T b) and one
-    # A^T c per candidate: the automatic first step reuses the first two
+    # one A^T b at the start, then per iteration one A sgn(A^T b) and one A^T c
+    # for the first trial: the automatic first step reuses the first two, and
+    # a backtracking candidate is valued from the images already held
     model = sample_haar_subspace(8, 6, seed=4)
     data = generate_dataset(model, N=200, M=80, seed=5)
     b0 = rand_unit(np.random.default_rng(1), 8)
@@ -254,7 +256,7 @@ def test_psgm_single_mbls_products_per_iteration():
     products = count_products(data)
     _, trace = psgm_single(data, b0, SolverConfig(schedule=MBLS(), max_iters=300, stop_tol=1e-12))
     assert trace.n_iterations > 10 and trace.backtracks.sum() > 0
-    assert products[0] == 2 * trace.n_iterations + int(trace.backtracks.sum()) + 1
+    assert products[0] == 2 * trace.n_iterations + 1
     # the first trial step is f(b0)/||g(b0)||^2, halved once per backtrack
     assert trace.step[0] == mu0 * 0.5 ** trace.backtracks[0]
 
@@ -291,27 +293,65 @@ def test_panel_bits_depend_only_on_the_start():
         assert np.array_equal(b, big.columns[:, i]) and _same_trace(trace, big.traces[i])
 
 
+_IMAGE_RTOL = 1e-14  # f of a backtracked iterate, from two images, against its own product
+
+
 def test_psgm_multi_mbls_descent_on_every_accepted_step():
     data = _d30_data()
     sched = MBLS()
     cfg = SolverConfig(c_prime=PANEL_WIDTH + 4, seed=8, max_iters=50, record_iterates=True,
                        schedule=sched)
     basis = psgm_multi(data, cfg)
-    checked = 0
+    checked = backtracked = 0
     for tr in basis.traces:
         for k in range(tr.n_iterations):
             if tr.backtracks[k] < sched.max_backtracks:  # stopped searching on a descent
                 f, _, gn2 = panel_value_and_grad(data, tr.iterates[k])
-                assert f == tr.objective[k]
-                assert tr.objective[k + 1] <= f - sched.alpha * tr.step[k] * gn2
+                if k == 0 or tr.backtracks[k - 1] == 0:  # valued by a panel product
+                    assert f == tr.objective[k]
+                else:  # valued from the iterate's and the first trial's images
+                    assert abs(tr.objective[k] - f) <= _IMAGE_RTOL * f
+                    backtracked += 1
+                assert tr.objective[k + 1] <= tr.objective[k] - sched.alpha * tr.step[k] * gn2
                 checked += 1
         if tr.stop_reason == "max_iters":
             assert tr.n_iterations == cfg.max_iters
         else:
             assert tr.stop_reason == "converged" and tr.n_iterations < cfg.max_iters
             assert np.linalg.norm(tr.iterates[-1] - tr.iterates[-2]) < 1e-7
-    assert checked > 100
+    assert checked > 100 and backtracked > 20
     assert {tr.stop_reason for tr in basis.traces} == {"converged", "max_iters"}
+
+
+def test_backtracking_from_images_matches_valuing_each_candidate_by_product():
+    # the generic path rsgm takes: every shrunk candidate is retracted and
+    # valued by its own width-PANEL_WIDTH product
+    data = _d30_data()
+    A = data.points
+    signs = np.zeros((PANEL_WIDTH, A.shape[1]))
+
+    def value(X, rows):
+        S = X @ A
+        return np.abs(S[rows]).sum(axis=1), S
+
+    def grad(X, aux, rows):
+        signs[rows] = np.sign([aux[s] for s in rows])
+        return (A @ signs.T).T[rows]
+
+    cfg = SolverConfig(c_prime=PANEL_WIDTH + 4, seed=3, max_iters=200,
+                       schedule=MBLS(mu_init=1e3))
+    basis = psgm_multi(data, cfg)
+    starts = [b / np.linalg.norm(b) for b in _starts(30, cfg.c_prime, cfg.seed)]
+    ref = descend(starts, value, grad, _sphere_retract, lambda C, rows, *_: value(C, rows),
+                  _sphere_distance, lambda G: np.einsum("ij,ij->i", G, G), cfg.schedule,
+                  cfg.max_iters, cfg.stop_tol, width=PANEL_WIDTH)
+    assert np.array_equal(basis.columns, np.column_stack([b for b, _ in ref]))
+    for tr, (_, want) in zip(basis.traces, ref):
+        assert np.array_equal(tr.step, want.step) and tr.stop_reason == want.stop_reason
+        assert np.array_equal(tr.backtracks, want.backtracks)
+        assert np.all(np.abs(tr.objective - want.objective) <= _IMAGE_RTOL * want.objective)
+    backs = np.concatenate([tr.backtracks for tr in basis.traces])
+    assert backs[backs > 0].size > 100 and backs.max() > 5
 
 
 class _PanelRecorder(np.ndarray):
@@ -350,7 +390,8 @@ def test_finished_and_unused_slots_stay_frozen():
 
 def test_descend_rejects_an_empty_iteration_budget():
     with pytest.raises(ValueError, match="max_iters >= 1"):
-        descend([np.array([0.6, 0.8])], None, None, None, None, None, Constant(0.1), 0, 0.0)
+        descend([np.array([0.6, 0.8])], None, None, None, None, None, None, Constant(0.1), 0,
+                0.0)
 
 
 def test_trace_to_csv(tmp_path):
