@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -64,6 +65,13 @@ def _add_input_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--normalize", action="store_true")
 
 
+def _add_table_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out")
+    p.add_argument("--plotdata")
+    p.add_argument("--timing", action="store_true",
+                   help="write each row's wall_time to --out (default 0, so reruns keep their bytes)")
+
+
 def _add_basis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cprime", type=int, required=True)
     p.add_argument("--rank-strategy", dest="strategy", choices=["gap", "threshold"], default="gap")
@@ -101,7 +109,13 @@ def _cmd_solve(args) -> int:
         c_prime=args.cprime, max_iters=args.max_iters, stop_tol=args.stop_tol,
         schedule=_schedule_from_args(args), seed=seed,
     )
-    _finish_basis(solver.psgm_multi(matrix, config), matrix, args)
+    basis = solver.psgm_multi(matrix, config)
+    _finish_basis(basis, matrix, args)
+    if args.trace:
+        os.makedirs(args.trace, exist_ok=True)
+        for i, trace in enumerate(basis.traces):
+            solver.trace_to_csv(trace, os.path.join(args.trace, f"trace_{i}.csv"))
+        print(f"wrote {len(basis.traces)} traces to {args.trace}")
     return 0
 
 
@@ -227,7 +241,7 @@ def _run_table(config: harness.ExperimentConfig, args) -> None:
         harness._csv_path(args.out)
     table = harness.run_experiment(config)
     if args.out:
-        harness.persist(table, args.out)
+        harness.persist(table, args.out, include_timing=args.timing)
         print(f"wrote {len(table.rows)} rows to {args.out}")
     if args.plotdata:
         harness.write_plotdata(table, args.plotdata)
@@ -256,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_basis_flags(p)
     p.add_argument("--seed", type=int)
+    p.add_argument("--trace", metavar="DIR",
+                   help="write instance i's per-iteration trace to DIR/trace_<i>.csv")
     _add_step_flags(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -297,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int)
     _add_step_flags(p, beta=0.5, K0=50, K_star=5, stop_tol=1e-14, schedule=False)
-    p.add_argument("--out")
-    p.add_argument("--plotdata")
+    _add_table_flags(p)
     p.set_defaults(func=_cmd_continuous)
 
     for name, help_text in (
@@ -309,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--plotdata")
+        _add_table_flags(p)
         p.set_defaults(func=_cmd_grid)
 
     return ap

@@ -12,6 +12,7 @@ here iterates the exact update so runs can be checked against that limit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -75,12 +76,13 @@ def continuous_psgm_run(
     projection of b onto S.
 
     A start in S has no well-defined limit and is rejected; a start already in
-    the complement is returned unchanged as the k=0 converged case. The step
-    mu = 1/(p c_D) annihilates the complement component in one update, so a
-    schedule that takes it within max_iters is rejected before the run. The
-    complement component of the iterate stays collinear with the start's
-    throughout, so the run converges to continuous_fixed_point(b0) whenever
-    every step keeps 1 - mu p c_D > 0.
+    the complement is returned unchanged as the k=0 converged case. An open
+    first step (ScheduleParams with mu0=None) becomes f(b0)/||g(b0)||^2, as in
+    descend. The step mu = 1/(p c_D) annihilates the complement component in
+    one update, so a schedule that takes it within max_iters is rejected
+    before the run. The complement component of the iterate stays collinear
+    with the start's throughout, so the run converges to
+    continuous_fixed_point(b0) whenever every step keeps 1 - mu p c_D > 0.
     """
     if isinstance(schedule, MBLS):
         raise TypeError("the continuous simulator supports Constant and ScheduleParams steps")
@@ -94,15 +96,6 @@ def continuous_psgm_run(
 
     if comp_norm(b) <= _ZERO_TOL:
         raise ValueError("measure-zero initialization: b0 lies in the inlier subspace")
-
-    forbidden = 1.0 / (problem.p * problem.c_D) if problem.p > 0 else math.inf
-    ks = [0]  # the iterations at which the step changes, within max_iters
-    if isinstance(schedule, ScheduleParams):
-        ks += range(schedule.K0, max_iters, schedule.K_star)
-    if forbidden in {step_size(schedule, k) for k in ks}:
-        raise ValueError(
-            f"forbidden step: mu = 1/(p c_D) = {forbidden:.17g} kills the complement component"
-        )
 
     def grad(X, _, rows):
         x = X[0]
@@ -118,6 +111,22 @@ def continuous_psgm_run(
 
     def value(X, rows):
         return np.array([continuous_objective(problem, X[0])]), [None]
+
+    if isinstance(schedule, ScheduleParams) and schedule.mu0 is None:
+        # the open first step descend would take, f(b0)/||g(b0)||^2 (1 at a
+        # stationary start), resolved here so the check below can see it
+        g = grad(b[None], None, None)
+        gn2 = g[0] @ g[0] if g is not None else 0.0
+        schedule = dataclasses.replace(
+            schedule, mu0=continuous_objective(problem, b) / gn2 if gn2 > 0 else 1.0)
+    forbidden = 1.0 / (problem.p * problem.c_D) if problem.p > 0 else math.inf
+    ks = [0]  # the iterations at which the step changes, within max_iters
+    if isinstance(schedule, ScheduleParams):
+        ks += range(schedule.K0, max_iters, schedule.K_star)
+    if forbidden in {step_size(schedule, k) for k in ks}:
+        raise ValueError(
+            f"forbidden step: mu = 1/(p c_D) = {forbidden:.17g} kills the complement component"
+        )
 
     (b, trace), = descend(
         [b], value, grad, retract, lambda C, rows, *_: value(C, rows),

@@ -2,7 +2,8 @@
 
 A dataset is a D x (N+M) matrix whose columns are points: N inliers spanning a
 d-dimensional subspace S and M outliers spread over the full ambient sphere.
-Generation is seeded and reproducible bit for bit; all containers are frozen
+Generation is seeded and reproducible bit for bit, and builds each dataset
+in one D x n array that the container adopts. All containers are frozen
 after construction. CSV files are written with one "%.17g" row format and
 read with one np.loadtxt call, so a saved dataset loads back bit for bit.
 """
@@ -26,9 +27,20 @@ class CsvFormatError(ValueError):
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
+    """A read-only C-contiguous copy of a, or a itself when it already is a
+    read-only, C-contiguous array of that dtype that owns its data."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.dtype(dtype) and a.flags.owndata
+            and a.flags.c_contiguous and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=dtype, order="C", copy=True)
     out.flags.writeable = False
     return out
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so a container adopts it uncopied."""
+    a.flags.writeable = False
+    return a
 
 
 def _unit_columns(P: np.ndarray) -> bool:
@@ -43,6 +55,11 @@ class DataMatrix:
     points : (D, n) array, one point per column.
     labels : optional per-column array with values "inlier" / "outlier".
     unit_normalized : certifies every column norm is within 1e-9 of 1.
+
+    Points and labels that are read-only, C-contiguous, of the field's dtype
+    and own their data are adopted as they are, so a builder that freezes its
+    fresh array hands it over uncopied. Anything else is copied: later writes
+    to a caller's writeable array leave the container unchanged.
     """
 
     points: np.ndarray
@@ -160,23 +177,28 @@ def generate_dataset(model: SubspaceModel, N: int, M: int, seed: int) -> DataMat
 
     Inliers are Gaussian coefficient draws pushed through basis_S and
     normalized; outliers are uniform sphere points. A seeded permutation drawn
-    last shuffles the columns: each is written once at its shuffled position,
-    with the bits of concatenate-then-permute. Labels travel with their columns.
+    last shuffles the columns. One D x n array holds them all: the product
+    for the inliers is written straight into its first N columns, the
+    outliers are drawn row by row into the rest (the stream of one D x M
+    draw), each block is normalized in place, and each row is then permuted
+    in place. No block or second D x n array exists beside it, and the bits
+    are those of concatenate-then-permute. Labels travel with their columns.
     """
     if N < 0 or M < 0 or N + M < 1:
         raise ValueError("empty dataset: need N + M >= 1 with N, M >= 0")
     rng = np.random.default_rng(seed)
-    inliers = model.basis_S @ rng.standard_normal((model.inlier_dim, N))
-    inliers /= np.linalg.norm(inliers, axis=0)
-    outliers = unit_sphere_columns(rng, model.ambient_dim, M)
-    perm = rng.permutation(N + M)
-    slot = np.empty_like(perm)
-    slot[perm] = np.arange(N + M)  # slot[i]: where block column i lands
     pts = np.empty((model.ambient_dim, N + M))
-    pts[:, slot[:N]] = inliers
-    pts[:, slot[N:]] = outliers
-    del inliers, outliers  # only pts stays alive while the container copies it
-    return DataMatrix(points=pts, labels=np.where(perm < N, INLIER, OUTLIER), unit_normalized=True)
+    inliers, outliers = pts[:, :N], pts[:, N:]
+    np.matmul(model.basis_S, rng.standard_normal((model.inlier_dim, N)), out=inliers)
+    inliers /= np.linalg.norm(inliers, axis=0)
+    for row in outliers:
+        rng.standard_normal(out=row)
+    outliers /= np.linalg.norm(outliers, axis=0)
+    perm = rng.permutation(N + M)
+    for row in pts:
+        row[:] = row[perm]
+    labels = np.where(perm < N, INLIER, OUTLIER)
+    return DataMatrix(points=_freeze(pts), labels=_freeze(labels), unit_normalized=True)
 
 
 def corrupt_with_outliers(matrix: DataMatrix, ratio: float, seed: int) -> DataMatrix:
@@ -198,7 +220,8 @@ def corrupt_with_outliers(matrix: DataMatrix, ratio: float, seed: int) -> DataMa
         idx = rng.choice(n, size=k, replace=False)
         pts[:, idx] = unit_sphere_columns(rng, matrix.ambient_dim, k)
         labels[idx] = OUTLIER
-    return DataMatrix(points=pts, labels=labels, unit_normalized=matrix.unit_normalized)
+    return DataMatrix(points=_freeze(pts), labels=_freeze(labels),
+                      unit_normalized=matrix.unit_normalized)
 
 
 def normalize_columns(matrix: DataMatrix) -> DataMatrix:

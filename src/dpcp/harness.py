@@ -244,10 +244,11 @@ def hsi_proxy(D: int = 10, inlier_dim: int = 5, n_columns: int = 10000,
     z = rng.standard_normal((inlier_dim, n_columns)) * weights[:, None]
     x = model.basis_S @ z
     x /= np.linalg.norm(x, axis=0)
-    x = x + 1e-3 * rng.standard_normal(x.shape)
+    x += 1e-3 * rng.standard_normal(x.shape)
     x /= np.linalg.norm(x, axis=0)
-    labels = np.full(n_columns, INLIER, dtype="U7")
-    return model, DataMatrix(points=x, labels=labels, unit_normalized=True)
+    x.flags.writeable = False  # frozen, so the container adopts it uncopied
+    return model, DataMatrix(points=x, labels=np.full(n_columns, INLIER, dtype="U7"),
+                             unit_normalized=True)
 
 
 def _continuous_report(config: ExperimentConfig, model: SubspaceModel, seed: int) -> dict:

@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in-process through dispatch()."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import dpcp
-from dpcp import cli, geometry, harness
+from dpcp import cli, geometry, harness, solver
 from dpcp.dataset import DataMatrix, load_csv, save_csv
 from dpcp.serialize import to_json
 
@@ -68,6 +69,23 @@ def test_solve_recovers_codim_and_writes_outputs(dataset, tmp_path, capsys):
     assert doc["estimated_codim"] == 2
     assert doc["outlier_f1"] == 1.0
     assert len(doc["singular_values"]) == 4
+
+
+def test_solve_writes_each_instance_trace(dataset, tmp_path, capsys):
+    trace_dir = tmp_path / "traces"
+    code, out, _ = run_cli(["solve", "--in", dataset, "--cprime", "3", "--seed", "7",
+                            "--trace", str(trace_dir)], capsys)
+    assert code == 0 and f"wrote 3 traces to {trace_dir}" in out
+    assert sorted(os.listdir(trace_dir)) == ["trace_0.csv", "trace_1.csv", "trace_2.csv"]
+    config = solver.SolverConfig(c_prime=3, max_iters=1000, stop_tol=1e-9, seed=7)
+    expected = solver.psgm_multi(load_csv(dataset), config).traces[1]
+    lines = (trace_dir / "trace_1.csv").read_text().splitlines()
+    assert lines[0] == "iteration,objective,step,angle"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == expected.n_iterations + 1
+    assert [float(r[1]) for r in rows] == expected.objective.tolist()
+    assert [float(r[2]) for r in rows[:-1]] == expected.step.tolist()
+    assert rows[-1][2] == "" and all(r[3] == "" for r in rows)  # no model, no angles
 
 
 def test_rsgm_at_true_codim(dataset, capsys):
@@ -228,6 +246,31 @@ def test_grid_command_runs_config_and_rejects_kind_mismatch(tmp_path, capsys):
         code, _, err = run_cli(["codim", "--config", str(cfg_path)], capsys)
         assert code == 2
         assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["phase", "continuous"])
+def test_table_commands_write_wall_time_only_with_timing(command, tmp_path, capsys):
+    if command == "phase":
+        cfg = harness.ExperimentConfig(kind="phase_transition", D=6, d=4, c_prime=3,
+                                       N_grid=(40,), M_grid=(10, 20), methods=("psgm",),
+                                       trials=1, seed=2, max_iters=150)
+        harness.config_to_json(cfg, str(tmp_path / "phase.json"))
+        argv = ["phase", "--config", str(tmp_path / "phase.json")]
+    else:
+        argv = ["continuous", "--D", "6", "--d", "4", "--p", "0.5", "--cprime", "2",
+                "--trials", "2", "--seed", "3", "--mu0", "0.5"]
+    tables = {}
+    for name, extra in (("a", []), ("b", []), ("timed", ["--timing"])):
+        path = tmp_path / f"{name}.csv"
+        code, _, err = run_cli(argv + ["--out", str(path)] + extra, capsys)
+        assert code == 0, err
+        tables[name] = path
+    assert tables["a"].read_bytes() == tables["b"].read_bytes()
+    default, timed = (harness.load_results(str(tables[k])) for k in ("a", "timed"))
+    assert all(r.wall_time == 0.0 for r in default.rows)
+    assert all(r.wall_time > 0.0 for r in timed.rows)
+    assert ([dataclasses.replace(r, wall_time=0.0) for r in timed.sorted_rows()]
+            == default.sorted_rows())
 
 
 _CODIM_DOC = {"kind": "codim_sweep", "D": 6, "N": 40, "codim_grid": [2], "r_grid": [0.5],

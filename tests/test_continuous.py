@@ -124,12 +124,29 @@ def test_run_rejections():
     with pytest.raises(ValueError, match="forbidden step"):
         continuous_psgm_run(pr, b0, decaying, max_iters=4)
     continuous_psgm_run(pr, b0, decaying, max_iters=3)
-    with pytest.raises(ValueError, match="unresolved"):
-        continuous_psgm_run(pr, b0, ScheduleParams(mu0=None, beta=0.5, K0=3, K_star=2))
     with pytest.raises(TypeError, match="Constant and ScheduleParams"):
         continuous_psgm_run(pr, b0, MBLS())
     with pytest.raises(ValueError, match="unit norm"):
         continuous_psgm_run(pr, 2.0 * b0, Constant(0.1))
+
+
+def test_run_resolves_open_first_step():
+    # an open mu0 becomes f(b0)/||g(b0)||^2, the first step descend takes,
+    # before the forbidden-step check, and the run equals one given that mu0
+    pr = ContinuousProblem(subspace=sample_haar_subspace(30, 20, 3), p=0.4)
+    b0 = rand_unit(np.random.default_rng(7), 30)
+    open_step = ScheduleParams(mu0=None, beta=0.5, K0=20, K_star=10)
+    b, trace = continuous_psgm_run(pr, b0, open_step)
+    sproj = pr.subspace.project_S(b0)
+    g = pr.p * pr.c_D * b0 + (1.0 - pr.p) * pr.c_d * sproj / np.linalg.norm(sproj)
+    mu0 = continuous_objective(pr, b0) / (g @ g)
+    assert trace.step[0] == mu0
+    b_num, trace_num = continuous_psgm_run(
+        pr, b0, ScheduleParams(mu0=mu0, beta=0.5, K0=20, K_star=10))
+    assert np.array_equal(b, b_num)
+    assert np.array_equal(trace.step, trace_num.step)
+    assert trace.stop_reason == "converged"
+    assert angle_between(b, continuous_fixed_point(pr.subspace, b0)) < 1e-6
 
 
 def test_run_pure_inlier_mass():

@@ -46,7 +46,7 @@ def test_sample_haar_subspace_orthonormal_and_reproducible():
     assert np.array_equal(m.basis_Sperp, m2.basis_Sperp)
 
 
-@pytest.mark.parametrize("d,D", [(0, 5), (5, 5), (6, 5)])
+@pytest.mark.parametrize("d,D", [(0, 5), (5, 5), (6, 5), (1, 1)])
 def test_sample_haar_subspace_rejects_bad_dims(d, D):
     with pytest.raises(ValueError, match="invalid dimensions"):
         sample_haar_subspace(D, d, seed=0)
@@ -112,8 +112,12 @@ def _concatenate_then_permute(model, N, M, seed):
     return pts[:, perm], labels[perm]
 
 
+# the edge shapes of the staged build: no inliers, no outliers, one outlier,
+# and the smallest ambient dimension, D=2 (D=1 admits no model, d, c >= 1)
 @pytest.mark.parametrize(
-    "D, d, N, M", [(200, 190, 1500, 2250), (5, 2, 0, 7), (5, 2, 7, 0), (3, 1, 1, 0)]
+    "D, d, N, M", [(200, 190, 1500, 2250), (5, 2, 0, 7), (5, 2, 7, 0), (3, 1, 1, 0),
+                   (2, 1, 0, 1), (2, 1, 0, 6), (2, 1, 5, 0), (2, 1, 1, 1), (2, 1, 4, 3),
+                   (9, 4, 30, 1), (40, 38, 1, 1)]
 )
 def test_generate_dataset_shuffled_writes_keep_bits(D, d, N, M):
     model = sample_haar_subspace(D, d, seed=11)
@@ -133,14 +137,42 @@ def _traced_peak(fn) -> int:
 
 
 def test_dataset_construction_peak_memory():
-    # the two blocks and the preallocated array, then that array and the
-    # container's own copy: about twice the output at any moment
+    # the output array beside the inlier coefficients or the squares that the
+    # norms of a block take, never beside a second block or copy of itself
     model = sample_haar_subspace(200, 190, seed=11)
     out = generate_dataset(model, 1500, 2250, seed=12).points
-    assert _traced_peak(lambda: generate_dataset(model, 1500, 2250, seed=12)) <= 3 * out.nbytes
+    assert _traced_peak(lambda: generate_dataset(model, 1500, 2250, seed=12)) <= 1.75 * out.nbytes
     # the unit-norm check adds no D x n temporary to the defensive copy
     P = np.array(out)
     assert _traced_peak(lambda: DataMatrix(points=P, unit_normalized=True)) <= 1.25 * P.nbytes
+
+
+def test_data_matrix_adopts_frozen_owned_array():
+    P = unit_sphere_columns(np.random.default_rng(4), 200, 3750)
+    P.flags.writeable = False
+    held = []
+    peak = _traced_peak(lambda: held.append(DataMatrix(points=P, unit_normalized=True)))
+    assert held[0].points is P
+    assert peak < 0.25 * P.nbytes  # no D x n float array, only the finite mask's bytes
+    # a frozen view or a frozen array of another dtype is still copied
+    view = P[:, :10]
+    assert DataMatrix(points=view).points is not view
+    P32 = P.astype(np.float32)
+    P32.flags.writeable = False
+    copied = DataMatrix(points=P32).points
+    assert copied is not P32 and copied.dtype == np.float64
+
+
+def test_data_matrix_copies_writeable_array():
+    P = unit_sphere_columns(np.random.default_rng(5), 4, 6)
+    labels = np.array([INLIER] * 3 + [OUTLIER] * 3)
+    d = DataMatrix(points=P, labels=labels, unit_normalized=True)
+    kept, kept_labels = P.copy(), labels.copy()
+    P[:] = 0.0
+    labels[:] = OUTLIER
+    assert np.array_equal(d.points, kept)
+    assert np.array_equal(d.labels, kept_labels)
+    assert not d.points.flags.writeable and not d.labels.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
