@@ -56,11 +56,10 @@ def estimate_rank(basis, strategy: str = "gap", tau: float = 0.05) -> tuple[int,
     if strategy == "gap":
         if len(s) == 1:
             return 1, s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(
-                s[1:] > 0, s[:-1] / np.where(s[1:] > 0, s[1:], 1.0),
-                np.where(s[:-1] > 0, np.inf, 1.0),
-            )
+        ratios = np.where(
+            s[1:] > 0, s[:-1] / np.where(s[1:] > 0, s[1:], 1.0),
+            np.where(s[:-1] > 0, np.inf, 1.0),
+        )
         best = int(np.argmax(ratios))
         if not ratios[best] >= _GAP_FACTOR:
             return len(s), s

@@ -32,7 +32,6 @@ import numpy as np
 from . import analysis, rsgm, solver
 from .continuous import (
     ContinuousProblem,
-    continuous_fixed_point,
     continuous_psgm_run,
     continuous_span_check,
 )
@@ -164,9 +163,7 @@ def config_from_json(path: str) -> ExperimentConfig:
 
 def derive_seed(master: int, *parts) -> int:
     """Stable 64-bit seed from the master seed and a canonical part tuple."""
-    toks = [str(int(master))]
-    for p in parts:
-        toks.append(format(p, ".17g") if isinstance(p, float) else str(p))
+    toks = [str(int(master))] + [_encode_cell_value(p) for p in parts]
     digest = hashlib.sha256("|".join(toks).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -258,15 +255,12 @@ def _continuous_report(config: ExperimentConfig, model: SubspaceModel, seed: int
         return {"tag": "every direction is fixed at p=1; span check skipped"}
     schedule = solver.schedule_from("pgd", 0.3 if config.mu0 is None else config.mu0,
                                     config.beta, config.K0, config.K_star)
+    B_star, rank, spans = continuous_span_check(model, B0)
     errs = []
-    for j in range(config.c_prime):
-        b_star, _ = continuous_psgm_run(
-            problem, B0[:, j], schedule,
-            max_iters=config.max_iters, stop_tol=config.stop_tol,
-        )
-        ref = continuous_fixed_point(model, B0[:, j])
+    for b0, ref in zip(B0.T, np.ascontiguousarray(B_star.T)):  # a strided ref rounds @ otherwise
+        b_star, _ = continuous_psgm_run(problem, b0, schedule,
+                                        max_iters=config.max_iters, stop_tol=config.stop_tol)
         errs.append(float(np.arccos(np.clip(b_star @ ref, -1.0, 1.0))))
-    _, rank, spans = continuous_span_check(model, B0)
     return {
         "max_fixed_point_angle_error": max(errs),
         "estimated_codim": int(rank),

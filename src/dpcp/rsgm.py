@@ -120,7 +120,6 @@ def rsgm_run(
     (Bt, trace), = descend(
         [Bt], value, grad,
         lambda C: _polar_retract(C[0], notes, k)[None],
-        lambda C, rows, *_: value(C, rows),
         lambda X, Y: np.array([np.linalg.norm(Y[0] - X[0])]),
         lambda G: np.array([np.sum(G[0] * G[0])]),
         schedule, max_iters, stop_tol,

@@ -236,8 +236,9 @@ class _Run:
         self.iterates: list[np.ndarray] | None = [] if record_iterates else None
 
 
-def descend(starts, value, grad, retract, shrunk, distance, sqnorm, step, max_iters, stop_tol,
-            width=1, angle=None, record_iterates=False) -> list[tuple[np.ndarray, Trace]]:
+def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, stop_tol,
+            width=1, shrunk=None, angle=None,
+            record_iterates=False) -> list[tuple[np.ndarray, Trace]]:
     """The projected subgradient loop x <- retract(x - mu g) behind every method.
 
     The loop steps a panel: an array of `width` slots, one problem per row,
@@ -261,7 +262,8 @@ def descend(starts, value, grad, retract, shrunk, distance, sqnorm, step, max_it
     descent test and values only those rows' new candidates, written into C,
     with shrunk(C, rows, X, G, mu, mu1, AUX, first): G, mu and mu1 are those
     rows' subgradients, steps and first-trial steps, first the first value
-    call's aux, and it returns (f, aux) as value does. A row keeps its
+    call's aux, and it returns (f, aux) as value does; by default it is
+    value(C, rows), which values the retracted candidates. A row keeps its
     accepted candidate's f and aux for the next iterate. A degenerate
     candidate raises ValueError under every schedule; MBLS does not shrink
     its way past it. sqnorm(g) is the ||g||^2 of the first step and the MBLS
@@ -273,6 +275,8 @@ def descend(starts, value, grad, retract, shrunk, distance, sqnorm, step, max_it
     """
     if max_iters < 1:
         raise ValueError(f"invalid solver limits: max_iters >= 1, got {max_iters}")
+    if shrunk is None:
+        shrunk = lambda C, rows, *_: value(C, rows)
     mbls = isinstance(step, MBLS)
     X = np.zeros((width,) + np.shape(starts[0]))
     F = np.zeros(width)
@@ -450,9 +454,9 @@ def _psgm_panel(matrix: DataMatrix, starts: list[np.ndarray], config: SolverConf
         return np.abs(S).sum(axis=1), dict(zip(rows, S))
 
     return descend(
-        starts, value, grad, _sphere_retract, shrunk, _sphere_distance,
+        starts, value, grad, _sphere_retract, _sphere_distance,
         lambda G: _row_dots(G, G), config.schedule, config.max_iters, config.stop_tol,
-        width=PANEL_WIDTH,
+        width=PANEL_WIDTH, shrunk=shrunk,
         angle=(lambda x: float(principal_angles(x, model)[0])) if model is not None else None,
         record_iterates=config.record_iterates,
     )

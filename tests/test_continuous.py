@@ -118,8 +118,8 @@ def test_run_rejections():
     b0 = rand_unit(np.random.default_rng(12), 8)
     with pytest.raises(ValueError, match="forbidden step"):
         continuous_psgm_run(pr, b0, Constant(forbidden))
-    # a decaying schedule is checked before the run over every step it takes
-    # within max_iters: here the first decay, at k = K0 = 3, halves 2/(p c_D)
+    # a decaying schedule fails at the first step that lands in S: here the
+    # first decay, at k = K0 = 3, halves 2/(p c_D)
     decaying = ScheduleParams(mu0=2.0 * forbidden, beta=0.5, K0=3, K_star=2)
     with pytest.raises(ValueError, match="forbidden step"):
         continuous_psgm_run(pr, b0, decaying, max_iters=4)
@@ -130,9 +130,20 @@ def test_run_rejections():
         continuous_psgm_run(pr, 2.0 * b0, Constant(0.1))
 
 
+def test_run_rejects_steps_near_the_forbidden_one():
+    # not only the exact 1/(p c_D): any step whose candidate lands in S, here
+    # one ulp above, 1e-9 below and 1.5 times it, fails in the run
+    pr = _problem(seed=11)
+    b0 = rand_unit(np.random.default_rng(12), 8)
+    forbidden = 1.0 / (pr.p * pr.c_D)
+    for mu in (np.nextafter(forbidden, np.inf), forbidden * (1 - 1e-9), 1.5 * forbidden):
+        with pytest.raises(ValueError, match="forbidden step"):
+            continuous_psgm_run(pr, b0, Constant(mu))
+
+
 def test_run_resolves_open_first_step():
     # an open mu0 becomes f(b0)/||g(b0)||^2, the first step descend takes,
-    # before the forbidden-step check, and the run equals one given that mu0
+    # and the run equals one given that mu0
     pr = ContinuousProblem(subspace=sample_haar_subspace(30, 20, 3), p=0.4)
     b0 = rand_unit(np.random.default_rng(7), 30)
     open_step = ScheduleParams(mu0=None, beta=0.5, K0=20, K_star=10)

@@ -342,8 +342,8 @@ def test_backtracking_from_images_matches_valuing_each_candidate_by_product():
                        schedule=MBLS(mu_init=1e3))
     basis = psgm_multi(data, cfg)
     starts = [b / np.linalg.norm(b) for b in _starts(30, cfg.c_prime, cfg.seed)]
-    ref = descend(starts, value, grad, _sphere_retract, lambda C, rows, *_: value(C, rows),
-                  _sphere_distance, lambda G: np.einsum("ij,ij->i", G, G), cfg.schedule,
+    ref = descend(starts, value, grad, _sphere_retract, _sphere_distance,
+                  lambda G: np.einsum("ij,ij->i", G, G), cfg.schedule,
                   cfg.max_iters, cfg.stop_tol, width=PANEL_WIDTH)
     assert np.array_equal(basis.columns, np.column_stack([b for b, _ in ref]))
     for tr, (_, want) in zip(basis.traces, ref):
@@ -390,8 +390,7 @@ def test_finished_and_unused_slots_stay_frozen():
 
 def test_descend_rejects_an_empty_iteration_budget():
     with pytest.raises(ValueError, match="max_iters >= 1"):
-        descend([np.array([0.6, 0.8])], None, None, None, None, None, None, Constant(0.1), 0,
-                0.0)
+        descend([np.array([0.6, 0.8])], None, None, None, None, None, Constant(0.1), 0, 0.0)
 
 
 def test_trace_to_csv(tmp_path):
