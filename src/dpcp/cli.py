@@ -150,6 +150,8 @@ def _estimate_model(matrix: DataMatrix, d: int | None):
     if matrix.labels is None:
         raise ValueError("geometry statistics need a labeled dataset (in/out column)")
     X, _ = matrix.split()
+    if not X.shape[1]:
+        raise ValueError("the inlier class is empty: no column is labeled 'in'")
     u, s, _ = np.linalg.svd(X, full_matrices=True)
     if d is None:
         d = int(np.sum(s > 1e-8 * s[0]))
@@ -180,12 +182,18 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if not 0.0 <= args.theta0 <= np.pi / 2:
+        raise ValueError(f"--theta0 must lie in [0, pi/2], got {args.theta0}")
+    if not 1 <= args.cprime <= args.D:
+        raise ValueError(f"need 1 <= --cprime <= --D, got {args.cprime} and {args.D}")
     if args.stats:
         print("seed=deterministic (condition evaluation)")
         stats = geometry.GeometryStats(**fields_from_json(geometry.GeometryStats, args.stats))
         N, M = args.N, args.M
         if N is None or M is None:
             raise ValueError("--N and --M are required with --stats")
+        if N < 0 or M < 0:
+            raise ValueError(f"--N and --M must be >= 0, got {N} and {M}")
     elif args.input:
         matrix, stats = _stats_from_input(args)
         mask = matrix.inlier_mask()

@@ -124,7 +124,7 @@ def continuous_psgm_run(
         [b], value, grad, retract,
         lambda X, Y: np.array([math.acos(min(max(float(X[0] @ Y[0]), -1.0), 1.0))]),
         lambda G: np.array([G[0] @ G[0]]), schedule, max_iters, stop_tol,
-        angle=lambda x: math.acos(min(comp_norm(x), 1.0)), record_iterates=record_iterates,
+        record_iterates=record_iterates,
     )
     return b, trace
 

@@ -108,6 +108,9 @@ class ExperimentConfig:
             raise ValueError("invalid config: D >= 2, trials >= 1, c_prime >= 1")
         if self.schedule_kind not in ("const", "pgd", "mbls"):
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
+        if self.max_iters < 1 or self.stop_tol < 0:
+            raise ValueError("invalid solver limits: need max_iters >= 1 and stop_tol >= 0")
+        _schedule(self)  # a bad step rule raises here, before any run
         if self.kind == "phase_transition":
             if not self.N_grid or not self.M_grid:
                 raise ValueError("phase grid needs N_grid and M_grid")
@@ -194,13 +197,21 @@ def _row_order(row: ResultRow) -> tuple:
     return json.dumps(row.cell, sort_keys=True), row.method, row.trial
 
 
+def _schedule(config: ExperimentConfig) -> solver.StepSchedule:
+    """The step rule every solve of config runs: its schedule_kind, or for a
+    continuous check a PGD step whose open mu0 is 0.3."""
+    kind, mu0 = config.schedule_kind, config.mu0
+    if config.kind == "continuous_check":
+        kind, mu0 = "pgd", 0.3 if mu0 is None else mu0
+    return solver.schedule_from(kind, mu0, config.beta, config.K0, config.K_star)
+
+
 def _solve_and_report(config: ExperimentConfig, model, matrix: DataMatrix, method: str,
                       seed: int, rsgm_c: int) -> dict:
     """Solve with psgm (c' instances) or rsgm (width rsgm_c) and return the
     RecoveryReport as a row report: its fields without the basis, plus the
     true codimension when the model is known."""
-    schedule = solver.schedule_from(config.schedule_kind, config.mu0, config.beta, config.K0,
-                                    config.K_star)
+    schedule = _schedule(config)
     if method == "psgm":
         basis = solver.psgm_multi(matrix, solver.SolverConfig(
             c_prime=config.c_prime, max_iters=config.max_iters, stop_tol=config.stop_tol,
@@ -253,8 +264,7 @@ def _continuous_report(config: ExperimentConfig, model: SubspaceModel, seed: int
     B0 = unit_sphere_columns(np.random.default_rng(seed), config.D, config.c_prime)
     if config.p == 1.0:
         return {"tag": "every direction is fixed at p=1; span check skipped"}
-    schedule = solver.schedule_from("pgd", 0.3 if config.mu0 is None else config.mu0,
-                                    config.beta, config.K0, config.K_star)
+    schedule = _schedule(config)
     B_star, rank, spans = continuous_span_check(model, B0)
     errs = []
     for b0, ref in zip(B0.T, np.ascontiguousarray(B_star.T)):  # a strided ref rounds @ otherwise

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import max_subspace_angle
-from .dataset import DataMatrix, SubspaceModel
+from .dataset import DataMatrix, _frozen_array
 from .solver import StepSchedule, Trace, descend
 
 _ORTHO_TOL = 1e-8
@@ -39,9 +38,7 @@ class OrthoBasis:
             raise ValueError("columns must be a tall (D, c') array")
         if np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) > _ORTHO_TOL:
             raise ValueError("columns must be orthonormal within 1e-8")
-        B = B.copy()
-        B.flags.writeable = False
-        object.__setattr__(self, "columns", B)
+        object.__setattr__(self, "columns", _frozen_array(B))
 
     @property
     def ambient_dim(self) -> int:
@@ -83,10 +80,10 @@ def _riemannian_subgradient(A: np.ndarray, Bt: np.ndarray, St: np.ndarray,
     return Gt - 0.5 * (Bt @ Gt.T + Gt @ Bt.T) @ Bt
 
 
-def _polar_retract(Ct: np.ndarray, notes: list[str], k: int) -> np.ndarray:
-    u, s, vt = np.linalg.svd(Ct, full_matrices=False)
-    if s[-1] < 1e-12 * max(s[0], 1.0):
-        notes.append(f"iteration {k}: rank-deficient candidate, regularized polar factor")
+def _polar_retract(Ct: np.ndarray) -> np.ndarray:
+    """Orthonormal polar factor. B^T G is skew after the tangent projection, so
+    (B - mu G)^T (B - mu G) = I + mu^2 G^T G: a candidate's singular values are >= 1."""
+    u, _, vt = np.linalg.svd(Ct, full_matrices=False)
     return u @ vt
 
 
@@ -95,7 +92,6 @@ def rsgm_run(
     c_prime: int,
     schedule: StepSchedule,
     max_iters: int = 500,
-    model: SubspaceModel | None = None,
     stop_tol: float = 1e-10,
 ) -> OrthoBasis:
     """Riemannian subgradient descent from the spectral initializer.
@@ -105,25 +101,19 @@ def rsgm_run(
     """
     A = matrix.points
     Bt = spectral_init(matrix, c_prime).columns.T
-    notes: list[str] = []
-    k = -1
 
     def value(X, rows):
         f, aux = _group_objective(A, X[0])
         return np.array([f]), [aux]
 
     def grad(X, aux, rows):
-        nonlocal k
-        k += 1  # one subgradient per iteration, so k numbers the step being retracted
         return _riemannian_subgradient(A, X[0], *aux[0])[None]
 
     (Bt, trace), = descend(
         [Bt], value, grad,
-        lambda C: _polar_retract(C[0], notes, k)[None],
+        lambda C: _polar_retract(C[0])[None],
         lambda X, Y: np.array([np.linalg.norm(Y[0] - X[0])]),
         lambda G: np.array([np.sum(G[0] * G[0])]),
         schedule, max_iters, stop_tol,
-        angle=(lambda X: max_subspace_angle(X.T, model.basis_Sperp)) if model is not None else None,
     )
-    trace.notes = tuple(notes)
     return OrthoBasis(columns=Bt.T, trace=trace)

@@ -32,8 +32,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .analysis import _basis_array, principal_angles
-from .dataset import DataMatrix, SubspaceModel, unit_sphere_columns
+from .analysis import _basis_array
+from .dataset import DataMatrix, _frozen_array, _unit_columns, unit_sphere_columns
 from .geometry import ScheduleParams
 
 _UNIT_TOL = 1e-8
@@ -118,10 +118,9 @@ class Trace:
     objective[k] = f at iterate k (length K+1); a psgm iterate reached by an
     MBLS backtrack takes it from two images its panel already holds (see
     _psgm_panel), so it can differ from a product's f in the last bits.
-    step[k] = step taken from iterate k (length K); angle[k] = principal
-    angle of iterate k from the known complement, when a model was supplied;
-    iterates rows are the b-hat sequence when recorded; backtracks counts
-    MBLS rejections per iteration.
+    step[k] = step taken from iterate k (length K); iterates rows are the
+    b-hat sequence when recorded; backtracks counts MBLS rejections per
+    iteration.
     stop_reason is "converged" (the last step moved less than stop_tol),
     "backtracks_exhausted" (so did the last step, but it failed the MBLS
     descent test), "max_iters" or "stationary" (no descent direction left).
@@ -129,10 +128,8 @@ class Trace:
 
     objective: np.ndarray
     step: np.ndarray
-    angle: np.ndarray | None = None
     iterates: np.ndarray | None = None
     backtracks: np.ndarray | None = None
-    notes: tuple[str, ...] = ()
     stop_reason: str | None = None
 
     @property
@@ -141,14 +138,12 @@ class Trace:
 
 
 def trace_to_csv(trace: Trace, path: str) -> None:
-    """Write iteration, objective, step, angle columns (blank when unknown)."""
+    """Write iteration, objective, step columns (no step out of the last iterate)."""
     with open(path, "w") as fh:
-        fh.write("iteration,objective,step,angle\n")
-        K = len(trace.objective)
-        for k in range(K):
+        fh.write("iteration,objective,step\n")
+        for k, obj in enumerate(trace.objective):
             step = format(trace.step[k], ".17g") if k < len(trace.step) else ""
-            angle = format(trace.angle[k], ".17g") if trace.angle is not None else ""
-            fh.write(f"{k},{format(trace.objective[k], '.17g')},{step},{angle}\n")
+            fh.write(f"{k},{format(obj, '.17g')},{step}\n")
 
 
 @dataclass(frozen=True)
@@ -162,12 +157,9 @@ class DualBasis:
         B = np.asarray(self.columns, dtype=float)
         if B.ndim != 2 or B.shape[1] < 1:
             raise ValueError("columns must be a (D, c') array with c' >= 1")
-        norms = np.linalg.norm(B, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not _unit_columns(B):
             raise ValueError("every column must have unit norm within 1e-9")
-        B = B.copy()
-        B.flags.writeable = False
-        object.__setattr__(self, "columns", B)
+        object.__setattr__(self, "columns", _frozen_array(B))
 
     @property
     def ambient_dim(self) -> int:
@@ -225,20 +217,18 @@ def schedule_from(kind: str, mu0: float | None, beta: float, K0: int, K_star: in
 class _Run:
     """What the loop keeps of one problem while it holds a panel slot."""
 
-    def __init__(self, index: int, rule: StepSchedule, angle, record_iterates: bool):
+    def __init__(self, index: int, rule: StepSchedule, record_iterates: bool):
         self.index = index
         self.k = 0
         self.rule = rule  # the schedule, with an open first step filled in once known
         self.objs: list[float] = []
         self.steps: list[float] = []
         self.backs: list[int] = []
-        self.angles: list[float] | None = [] if angle is not None else None
         self.iterates: list[np.ndarray] | None = [] if record_iterates else None
 
 
 def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, stop_tol,
-            width=1, shrunk=None, angle=None,
-            record_iterates=False) -> list[tuple[np.ndarray, Trace]]:
+            width=1, shrunk=None, record_iterates=False) -> list[tuple[np.ndarray, Trace]]:
     """The projected subgradient loop x <- retract(x - mu g) behind every method.
 
     The loop steps a panel: an array of `width` slots, one problem per row,
@@ -269,8 +259,7 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
     its way past it. sqnorm(g) is the ||g||^2 of the first step and the MBLS
     descent test, passed in because each method rounds it its own way and
     the accept decisions depend on those bits. A problem stops when
-    distance(x, x_new) < stop_tol or after max_iters steps. angle(x), when
-    given, is recorded for every iterate.
+    distance(x, x_new) < stop_tol or after max_iters steps.
     Returns (x, Trace) per start, in the order of `starts`.
     """
     if max_iters < 1:
@@ -290,8 +279,6 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
     def record(s):
         run = slots[s]
         run.objs.append(F[s])
-        if angle is not None:
-            run.angles.append(angle(X[s]))
         if record_iterates:
             run.iterates.append(X[s].copy())
 
@@ -300,7 +287,6 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
         results[run.index] = (X[s].copy(), Trace(
             objective=np.asarray(run.objs),
             step=np.asarray(run.steps),
-            angle=np.asarray(run.angles) if angle is not None else None,
             iterates=np.asarray(run.iterates) if record_iterates else None,
             backtracks=np.asarray(run.backs, dtype=int) if mbls else None,
             stop_reason=reason,
@@ -319,7 +305,7 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
         new = []
         for s in range(width):
             if slots[s] is None and (i := next(queue, None)) is not None:
-                slots[s] = _Run(i, step, angle, record_iterates)
+                slots[s] = _Run(i, step, record_iterates)
                 X[s] = starts[i]
                 new.append(s)
         if new:
@@ -413,8 +399,8 @@ def _unit_start(matrix: DataMatrix, b0) -> np.ndarray:
     return b / nb
 
 
-def _psgm_panel(matrix: DataMatrix, starts: list[np.ndarray], config: SolverConfig,
-                model: SubspaceModel | None) -> list[tuple[np.ndarray, Trace]]:
+def _psgm_panel(matrix: DataMatrix, starts: list[np.ndarray],
+                config: SolverConfig) -> list[tuple[np.ndarray, Trace]]:
     """Run one psgm instance per start through a panel of PANEL_WIDTH rows.
 
     The two products, S = X A for the values and A sgn(S)^T for the
@@ -456,18 +442,12 @@ def _psgm_panel(matrix: DataMatrix, starts: list[np.ndarray], config: SolverConf
     return descend(
         starts, value, grad, _sphere_retract, _sphere_distance,
         lambda G: _row_dots(G, G), config.schedule, config.max_iters, config.stop_tol,
-        width=PANEL_WIDTH, shrunk=shrunk,
-        angle=(lambda x: float(principal_angles(x, model)[0])) if model is not None else None,
-        record_iterates=config.record_iterates,
+        width=PANEL_WIDTH, shrunk=shrunk, record_iterates=config.record_iterates,
     )
 
 
-def psgm_single(
-    matrix: DataMatrix,
-    b0: np.ndarray,
-    config: SolverConfig,
-    model: SubspaceModel | None = None,
-) -> tuple[np.ndarray, Trace]:
+def psgm_single(matrix: DataMatrix, b0: np.ndarray,
+                config: SolverConfig) -> tuple[np.ndarray, Trace]:
     """Run one projected subgradient instance from b0: the one-start case of
     psgm_multi's panel, so its bits equal that instance's column and trace.
 
@@ -475,14 +455,10 @@ def psgm_single(
     iterates drops below config.stop_tol or max_iters is reached. Returns the
     final unit vector and the full trace.
     """
-    return _psgm_panel(matrix, [_unit_start(matrix, b0)], config, model)[0]
+    return _psgm_panel(matrix, [_unit_start(matrix, b0)], config)[0]
 
 
-def psgm_multi(
-    matrix: DataMatrix,
-    config: SolverConfig,
-    model: SubspaceModel | None = None,
-) -> DualBasis:
+def psgm_multi(matrix: DataMatrix, config: SolverConfig) -> DualBasis:
     """Run config.c_prime independent instances from uniform random unit starts.
 
     Instance i draws its start from the i-th child of SeedSequence(config.seed),
@@ -500,6 +476,6 @@ def psgm_multi(
                                                 matrix.ambient_dim, 1)[:, 0])
         for child in np.random.SeedSequence(config.seed).spawn(config.c_prime)
     ]
-    runs = _psgm_panel(matrix, starts, config, model)
+    runs = _psgm_panel(matrix, starts, config)
     return DualBasis(columns=np.column_stack([b for b, _ in runs]),
                      traces=tuple(tr for _, tr in runs))

@@ -80,12 +80,12 @@ def test_solve_writes_each_instance_trace(dataset, tmp_path, capsys):
     config = solver.SolverConfig(c_prime=3, max_iters=1000, stop_tol=1e-9, seed=7)
     expected = solver.psgm_multi(load_csv(dataset), config).traces[1]
     lines = (trace_dir / "trace_1.csv").read_text().splitlines()
-    assert lines[0] == "iteration,objective,step,angle"
+    assert lines[0] == "iteration,objective,step"
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == expected.n_iterations + 1
     assert [float(r[1]) for r in rows] == expected.objective.tolist()
     assert [float(r[2]) for r in rows[:-1]] == expected.step.tolist()
-    assert rows[-1][2] == "" and all(r[3] == "" for r in rows)  # no model, no angles
+    assert rows[-1][2] == "" and all(len(r) == 3 for r in rows)
 
 
 def test_rsgm_at_true_codim(dataset, capsys):
@@ -139,6 +139,39 @@ def test_theory_exit_three_on_infeasible_step(limit_stats, capsys):
                             "--D", "16", "--cprime", "4", "--mu0", "10"], capsys)
     assert code == 3
     assert "condition failed during evaluation" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    ((), None),
+    (("--theta0", "2.0"), "--theta0 must lie in [0, pi/2]"),
+    (("--theta0", "-0.1"), "--theta0 must lie in [0, pi/2]"),
+    (("--cprime", "0"), "need 1 <= --cprime <= --D"),
+    (("--cprime", "300"), "need 1 <= --cprime <= --D"),
+    (("--N", "-1500"), "--N and --M must be >= 0"),
+])
+def test_theory_rejects_bad_flags_before_the_evaluation(tmp_path, flags, message, capsys):
+    # a bad flag is an error (exit 2), not a condition that fails (exit 3);
+    # a repeated flag overrides the baseline's
+    stats = tmp_path / "limit.json"
+    stats.write_text(to_json(geometry.continuous_limit_stats(195, 200)))
+    base = ["theory", "--stats", str(stats), "--N", "1500", "--M", "1500", "--D", "200",
+            "--cprime", "5", "--mu0", "1e-4", "--theta0", "0.8"]
+    code, _, err = run_cli(base + list(flags), capsys)
+    assert code == (0 if message is None else 2), err
+    if message is not None:
+        assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["geometry", "theory"])
+def test_stats_from_data_reject_an_empty_inlier_class(dataset, command, tmp_path, capsys):
+    m = load_csv(dataset)
+    path = tmp_path / "outliers.csv"
+    save_csv(DataMatrix(points=m.points, labels=np.full(m.n_points, "outlier"),
+                        unit_normalized=True), str(path))
+    extra = ["--D", "8", "--cprime", "2"] if command == "theory" else []
+    code, _, err = run_cli([command, "--in", str(path), "--seed", "3"] + extra, capsys)
+    assert code == 2
+    assert "the inlier class is empty" in err
 
 
 def test_theory_stats_path_requires_counts(limit_stats, capsys):
@@ -311,6 +344,20 @@ def test_step_flag_defaults_per_command(argv, defaults):
     args = vars(cli.build_parser().parse_args(argv))
     assert {k: args[k] for k in defaults} == defaults
     assert not (set(_SOLVE_STEPS) - set(defaults)) & set(args)  # flags it does not declare
+
+
+def test_table_commands_reject_broken_solver_settings_before_the_run(tmp_path, capsys):
+    cfg = harness.ExperimentConfig(kind="codim_sweep", D=6, N=40, c_prime=3,
+                                   codim_grid=(2,), r_grid=(0.2,))
+    cfg_path = tmp_path / "codim.json"
+    harness.config_to_json(cfg, str(cfg_path))
+    cfg_path.write_text(json.dumps(dict(json.loads(cfg_path.read_text()), max_iters=0)))
+    for argv in (["codim", "--config", str(cfg_path)],
+                 ["continuous", "--D", "4", "--d", "2", "--p", "0.5", "--cprime", "2",
+                  "--max-iters", "0"]):
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "t.csv")], capsys)
+        assert code == 2 and "invalid solver limits" in err
+        assert "cells failed" not in err and not (tmp_path / "t.csv").exists()
 
 
 def test_table_commands_reject_a_bad_out_before_the_run(tmp_path, monkeypatch, capsys):

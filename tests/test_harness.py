@@ -67,6 +67,25 @@ def test_config_validation():
                             r_grid=(0.5,)).methods == ("psgm", "rsgm", "rsgm_known")
 
 
+@pytest.mark.parametrize("kind, bad, message", [
+    ("phase_transition", dict(max_iters=0), "invalid solver limits"),
+    ("phase_transition", dict(stop_tol=-1.0), "invalid solver limits"),
+    ("phase_transition", dict(mu0=-1.0), "mu_init must be > 0"),
+    ("phase_transition", dict(schedule_kind="const"), "needs a numeric --mu0"),
+    ("phase_transition", dict(schedule_kind="pgd", beta=1.5), "invalid decay"),
+    ("phase_transition", dict(schedule_kind="pgd", K0=0), "need K0 >= 1"),
+    ("continuous_check", dict(max_iters=0), "invalid solver limits"),
+    ("continuous_check", dict(mu0=-1.0), "every mu0 must be > 0"),
+])
+def test_config_rejects_broken_solver_settings(kind, bad, message):
+    # checked before any run, not left to fail every row of the grid
+    base = (dict(N_grid=(60,), M_grid=(20,)) if kind == "phase_transition"
+            else dict(p=0.5))
+    ExperimentConfig(kind=kind, D=8, d=5, c_prime=4, **base)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(kind=kind, D=8, d=5, c_prime=4, **base, **bad)
+
+
 @pytest.mark.parametrize("n_columns", [0, -3])
 def test_pursuit_config_rejects_an_empty_proxy(n_columns):
     # checked before any run, not left to fail every row of the grid

@@ -6,7 +6,13 @@ import pytest
 from dpcp.analysis import max_subspace_angle, principal_angles, projection_distance
 from dpcp.dataset import INLIER, DataMatrix, generate_dataset, sample_haar_subspace
 from dpcp.geometry import ScheduleParams
-from dpcp.rsgm import OrthoBasis, rsgm_run, spectral_init
+from dpcp.rsgm import (
+    OrthoBasis,
+    _group_objective,
+    _riemannian_subgradient,
+    rsgm_run,
+    spectral_init,
+)
 from dpcp.solver import MBLS
 
 
@@ -49,11 +55,11 @@ def test_spectral_init_bottom_eigenvectors():
 def test_rsgm_recovers_complement_at_true_codim():
     model = sample_haar_subspace(10, 7, seed=1)
     data = generate_dataset(model, N=400, M=100, seed=2)
-    result = rsgm_run(data, c_prime=3, schedule=_auto_pgd(), max_iters=300, model=model)
-    assert max_subspace_angle(result.columns, model.basis_Sperp) < 1e-3
+    result = rsgm_run(data, c_prime=3, schedule=_auto_pgd(), max_iters=300)
+    angle = max_subspace_angle(result.columns, model.basis_Sperp)
+    assert angle < 1e-3
     assert projection_distance(result.columns, model.basis_Sperp) < 1e-3
-    assert result.trace.angle is not None
-    assert result.trace.angle[-1] < result.trace.angle[0]
+    assert angle < max_subspace_angle(spectral_init(data, 3).columns, model.basis_Sperp)
 
 
 def test_rsgm_overestimated_codim_invades_inlier_subspace():
@@ -61,7 +67,7 @@ def test_rsgm_overestimated_codim_invades_inlier_subspace():
     # inlier directions: their principal angle from the complement stays large
     model = sample_haar_subspace(10, 7, seed=3)
     data = generate_dataset(model, N=400, M=100, seed=4)
-    result = rsgm_run(data, c_prime=5, schedule=_auto_pgd(), max_iters=300, model=model)
+    result = rsgm_run(data, c_prime=5, schedule=_auto_pgd(), max_iters=300)
     ang = principal_angles(result.columns, model, against="Sperp")
     assert int(np.sum(ang > math.pi / 18)) >= 2  # c' - c = 2 invaders
     assert projection_distance(result.columns, model.basis_Sperp) > 0.5
@@ -112,8 +118,22 @@ def test_rsgm_final_objective_is_the_group_norm_of_its_basis(zero_column):
     if zero_column:
         data = DataMatrix(points=np.hstack([data.points, np.zeros((30, 1))]),
                           labels=np.append(data.labels, INLIER))
-    basis = rsgm_run(data, c_prime=5, schedule=MBLS(), max_iters=200, model=model)
+    basis = rsgm_run(data, c_prime=5, schedule=MBLS(), max_iters=200)
     B = basis.columns
     expected = np.linalg.norm(data.points.T @ B, axis=1).sum()
     assert abs(basis.trace.objective[-1] - expected) <= 1e-12 * expected
     assert np.max(np.abs(B.T @ B - np.eye(5))) < 1e-10
+
+
+def test_rsgm_candidates_keep_full_rank():
+    # B^T G is skew after the tangent projection, so (B - mu G)^T (B - mu G)
+    # = I + mu^2 G^T G: every candidate's singular values are >= 1 and the
+    # polar retraction never meets a rank-deficient one
+    model = sample_haar_subspace(30, 25, seed=11)
+    data = generate_dataset(model, N=300, M=200, seed=12)
+    A = data.points
+    for B in (spectral_init(data, 5).columns, rsgm_run(data, 5, MBLS(), max_iters=200).columns):
+        Bt = np.ascontiguousarray(B.T)
+        Gt = _riemannian_subgradient(A, Bt, *_group_objective(A, Bt)[1])
+        for mu in 10.0 ** np.arange(-6, 7):
+            assert np.linalg.svd(Bt - mu * Gt, compute_uv=False).min() >= 1 - 1e-12

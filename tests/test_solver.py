@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpcp.analysis import principal_angles
 from dpcp.dataset import (
     DataMatrix,
     generate_dataset,
@@ -144,12 +145,13 @@ def test_psgm_single_mbls_monotone_decrease():
     model = sample_haar_subspace(8, 6, seed=4)
     data = generate_dataset(model, N=200, M=80, seed=5)
     b0 = rand_unit(np.random.default_rng(1), 8)
-    cfg = SolverConfig(schedule=MBLS(), max_iters=300, stop_tol=1e-12)
-    b, trace = psgm_single(data, b0, cfg, model=model)
+    cfg = SolverConfig(schedule=MBLS(), max_iters=300, stop_tol=1e-12, record_iterates=True)
+    b, trace = psgm_single(data, b0, cfg)
     assert np.all(np.diff(trace.objective) <= 1e-9)
     assert trace.backtracks is not None and np.all(trace.backtracks >= 0)
-    assert trace.angle is not None and trace.angle[-1] < trace.angle[0]
-    assert trace.angle[-1] < 1e-4  # single instance finds a normal direction
+    angle = principal_angles(trace.iterates.T, model)
+    assert angle[-1] < angle[0]
+    assert angle[-1] < 1e-4  # single instance finds a normal direction
 
 
 def test_psgm_single_trace_shapes_and_auto_mu0():
@@ -220,7 +222,7 @@ def test_psgm_multi_recovers_complement():
     model = sample_haar_subspace(10, 7, seed=9)
     data = generate_dataset(model, N=300, M=100, seed=10)
     basis = psgm_multi(data, SolverConfig(c_prime=6, seed=0, max_iters=400,
-                                          stop_tol=1e-12), model=model)
+                                          stop_tol=1e-12))
     from dpcp.analysis import recovery_report
     rep = recovery_report(basis, model=model, matrix=data)
     assert rep.estimated_codim == 3
@@ -394,23 +396,24 @@ def test_descend_rejects_an_empty_iteration_budget():
 
 
 def test_trace_to_csv(tmp_path):
-    tr = Trace(objective=np.array([3.0, 2.0, 1.5]), step=np.array([0.1, 0.05]),
-               angle=np.array([0.9, 0.4, 0.2]))
+    tr = Trace(objective=np.array([3.0, 2.0, 1.5]), step=np.array([0.1, 0.05]))
     p = tmp_path / "trace.csv"
     trace_to_csv(tr, str(p))
     lines = p.read_text().splitlines()
-    assert lines[0] == "iteration,objective,step,angle"
+    assert lines[0] == "iteration,objective,step"
     assert len(lines) == 4
-    assert lines[1].startswith("0,3,0.1")
-    assert lines[3] == "2,1.5,,0.20000000000000001"  # no step out of the last iterate
+    assert lines[1] == "0,3,0.10000000000000001"
+    assert lines[3] == "2,1.5,"  # no step out of the last iterate
     bare = Trace(objective=np.array([1.0]), step=np.array([]))
     trace_to_csv(bare, str(p))
-    assert p.read_text().splitlines()[1] == "0,1,,"
+    assert p.read_text().splitlines()[1] == "0,1,"
 
 
 def test_dual_basis_validation():
     with pytest.raises(ValueError, match="unit norm"):
         DualBasis(columns=2.0 * np.eye(3))
+    with pytest.raises(ValueError, match="unit norm"):
+        DualBasis(columns=np.array([[1.0, np.nan], [0.0, np.nan]]))
     basis = DualBasis(columns=np.eye(3))
     assert not basis.columns.flags.writeable
     with pytest.raises(ValueError, match="columns"):
