@@ -28,7 +28,6 @@ from .dataset import (
 )
 from .geometry import (
     GeometryStats,
-    ScheduleParams,
     TheoryReport,
     beta_upper_bound,
     check_init_condition,
@@ -49,6 +48,7 @@ from .solver import (
     MBLS,
     Constant,
     DualBasis,
+    ScheduleParams,
     SolverConfig,
     Trace,
     average_terms,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, INLIER, OUTLIER, SubspaceModel
+from .dataset import DataMatrix, INLIER, OUTLIER, SubspaceModel, _columns
 
 _GAP_FACTOR = 10.0
 _RANK_EPS = 1e-8
@@ -33,16 +33,6 @@ class RecoveryReport:
     outlier_recall: float | None
 
 
-def _basis_array(basis) -> np.ndarray:
-    B = getattr(basis, "columns", basis)
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    if B.ndim != 2 or B.shape[1] < 1:
-        raise ValueError("basis must be a (D, k) array with k >= 1")
-    return B
-
-
 def estimate_rank(basis, strategy: str = "gap", tau: float = 0.05) -> tuple[int, np.ndarray]:
     """Estimate how many directions of the candidate basis are independent.
 
@@ -51,7 +41,7 @@ def estimate_rank(basis, strategy: str = "gap", tau: float = 0.05) -> tuple[int,
     full width. strategy="threshold": count singular values above tau * s_1.
     Returns (rank, descending singular values).
     """
-    B = _basis_array(basis)
+    B = _columns(basis)
     s = np.linalg.svd(B, compute_uv=False)
     if strategy == "gap":
         if len(s) == 1:
@@ -73,7 +63,7 @@ def estimate_rank(basis, strategy: str = "gap", tau: float = 0.05) -> tuple[int,
 
 def orthonormal_column_space(basis, rank: int | None = None) -> np.ndarray:
     """Orthonormal basis of the leading column space (left singular vectors)."""
-    B = _basis_array(basis)
+    B = _columns(basis)
     u, s, _ = np.linalg.svd(B, full_matrices=False)
     if rank is None:
         rank = int(np.sum(s > _RANK_EPS * s[0]))
@@ -94,8 +84,8 @@ def subspace_distance(B, A) -> float:
     singular values of A^T B). Symmetric, zero for equal spans, sqrt(2k) for
     orthogonal spans.
     """
-    B = _basis_array(B)
-    A = _basis_array(A)
+    B = _columns(B)
+    A = _columns(A)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
     _check_orthonormal(A, "A")
@@ -108,8 +98,8 @@ def projection_distance(B, A) -> float:
     """Frobenius distance between the orthogonal projectors onto span(B) and
     span(A); defined for bases of different widths. B may be any nonzero
     matrix; its numerical column space is used."""
-    B = _basis_array(B)
-    A = _basis_array(A)
+    B = _columns(B)
+    A = _columns(A)
     if A.shape[0] != B.shape[0]:
         raise ValueError("ambient dimension mismatch")
     if not np.linalg.norm(B):
@@ -127,7 +117,7 @@ def principal_angles(basis, model: SubspaceModel, against: str = "Sperp") -> np.
     """Per-column principal angle (radians) from the chosen subspace, the
     atan2 of the column's norms in the other subspace and in the chosen one:
     unlike an arccos of the cosine, it resolves angles below 1.5e-8."""
-    B = _basis_array(basis)
+    B = _columns(basis)
     target, other = ((model.basis_Sperp, model.basis_S) if against == "Sperp"
                      else (model.basis_S, model.basis_Sperp))
     return np.arctan2(np.linalg.norm(other.T @ B, axis=0), np.linalg.norm(target.T @ B, axis=0))
@@ -137,8 +127,8 @@ def max_subspace_angle(basis, target: np.ndarray) -> float:
     """Largest principal angle between span(basis) and span(target), the atan2
     of its sine and cosine, sigma_max(Q - T T^T Q) and sigma_min(T^T Q); pi/2
     when span(basis) is wider than the target."""
-    Q = _basis_array(basis)
-    T = _basis_array(target)
+    Q = _columns(basis)
+    T = _columns(target)
     if Q.shape[1] > T.shape[1]:
         return math.pi / 2
     C = T.T @ Q
@@ -156,7 +146,7 @@ def classify_outliers(matrix: DataMatrix, complement_basis) -> np.ndarray:
     of magnitude below outlier scores, while absolute spacings are largest
     among the top order statistics of the outliers.
     """
-    B = _basis_array(complement_basis)
+    B = _columns(complement_basis)
     if B.shape[0] != matrix.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     scores = np.linalg.norm(B.T @ matrix.points, axis=0)
@@ -173,9 +163,7 @@ def classify_outliers(matrix: DataMatrix, complement_basis) -> np.ndarray:
 
 def _outlier_mask(labels) -> np.ndarray:
     a = np.asarray(labels)
-    if a.dtype.kind in "Ub":
-        return a == OUTLIER if a.dtype.kind == "U" else a.astype(bool)
-    return a.astype(bool)
+    return a == OUTLIER if a.dtype.kind == "U" else a.astype(bool)
 
 
 def f1_score(predicted, truth) -> tuple[float, float, float]:
@@ -202,7 +190,7 @@ def f1_score(predicted, truth) -> tuple[float, float, float]:
 def check_full_rank_condition(B0, delta_bound: float) -> tuple[bool, float]:
     """Spectral margin test on the stacked starts: holds iff the smallest
     singular value of B0 exceeds delta_bound."""
-    B = _basis_array(B0)
+    B = _columns(B0)
     if B.shape[0] < B.shape[1]:
         raise ValueError("invalid dimensions: B0 must be tall (D >= c')")
     s = np.linalg.svd(B, compute_uv=False)

@@ -40,12 +40,16 @@ def _mu0_or_auto(text: str) -> float | None:
 
 
 def _schedule_from_args(args) -> solver.StepSchedule:
+    harness._check_step_fields(args.schedule, args)
     return solver.schedule_from(args.schedule, args.mu0, args.beta, args.K0, args.K_star)
 
 
-def _add_step_flags(p: argparse.ArgumentParser, beta: float = 0.6, K0: int = 30,
-                    K_star: int = 10, stop_tol: float = 1e-9, schedule: bool = True,
-                    descent: bool = True) -> None:
+_CONFIG = harness.ExperimentConfig  # its step-rule defaults are the commands' defaults
+
+
+def _add_step_flags(p: argparse.ArgumentParser, beta: float = _CONFIG.beta, K0: int = _CONFIG.K0,
+                    K_star: int = _CONFIG.K_star, stop_tol: float = _CONFIG.stop_tol,
+                    schedule: bool = True, descent: bool = True) -> None:
     """The step-rule flags at this command's defaults: --schedule when it picks a
     rule, and --max-iters and --stop-tol when it runs a descent."""
     if schedule:
@@ -201,7 +205,7 @@ def _cmd_theory(args) -> int:
     else:
         raise ValueError("pass --stats stats.json or --in data.csv")
     mu0 = args.mu0 if args.mu0 is not None else geometry.mu_prime(stats, N, M)
-    schedule = geometry.ScheduleParams(mu0=mu0, beta=args.beta, K0=args.K0, K_star=args.K_star)
+    schedule = solver.ScheduleParams(mu0=mu0, beta=args.beta, K0=args.K0, K_star=args.K_star)
     try:
         report = geometry.theory_report(
             stats, N, M, args.cprime, args.D, args.theta0, schedule,

@@ -12,7 +12,6 @@ here iterates the exact update so runs can be checked against that limit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,12 +119,8 @@ def continuous_psgm_run(
     def value(X, rows):
         return np.array([continuous_objective(problem, X[0])]), [None]
 
-    (b, trace), = descend(
-        [b], value, grad, retract,
-        lambda X, Y: np.array([math.acos(min(max(float(X[0] @ Y[0]), -1.0), 1.0))]),
-        lambda G: np.array([G[0] @ G[0]]), schedule, max_iters, stop_tol,
-        record_iterates=record_iterates,
-    )
+    (b, trace), = descend([b], value, grad, retract, schedule, max_iters, stop_tol,
+                          record_iterates=record_iterates)
     return b, trace
 
 

@@ -105,6 +105,20 @@ class DataMatrix:
         return self.points[:, m], self.points[:, ~m]
 
 
+def _columns(a, vector: bool = True) -> np.ndarray:
+    """The (D, k) array, k >= 1, of a DataMatrix's points, as they are, or of
+    a basis's columns or an array, as floats; a vector is one column unless
+    vector is False."""
+    if isinstance(a, DataMatrix):
+        return a.points
+    a = np.asarray(getattr(a, "columns", a), dtype=float)
+    if vector and a.ndim == 1:
+        a = a[:, None]
+    if a.ndim != 2 or a.shape[1] < 1:
+        raise ValueError("a basis or point array must be a non-empty (D, k) array")
+    return a
+
+
 @dataclass(frozen=True)
 class SubspaceModel:
     """Orthonormal basis of an inlier subspace S and of its complement.

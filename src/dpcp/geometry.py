@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, SubspaceModel, unit_sphere_columns
+from .dataset import DataMatrix, SubspaceModel, _columns, unit_sphere_columns
+from .solver import ScheduleParams
 
 
 def hemisphere_height(k: int) -> float:
@@ -87,43 +88,6 @@ def continuous_limit_stats(d: int, D: int) -> GeometryStats:
 
 
 @dataclass(frozen=True)
-class ScheduleParams:
-    """Piecewise-geometric step rule: mu0 for k < K0, then mu0 * beta^(floor((k-K0)/K_star)+1).
-
-    The solver takes it as a step schedule directly, and the recovery
-    conditions are stated for it. mu0 may be a scalar, a per-instance tuple,
-    or None (resolved by the solver from the first iterate).
-    """
-
-    mu0: float | tuple[float, ...] | None
-    beta: float
-    K0: int
-    K_star: int
-
-    def __post_init__(self):
-        if self.mu0 is not None:
-            vals = self.mu0 if isinstance(self.mu0, tuple) else (self.mu0,)
-            if any(not v > 0 for v in vals):
-                raise ValueError("invalid step: every mu0 must be > 0")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"invalid decay: need 0 < beta < 1, got {self.beta}")
-        if self.K0 < 1 or self.K_star < 1:
-            raise ValueError("invalid schedule: need K0 >= 1 and K_star >= 1")
-
-    def mu0_for(self, instance: int = 0) -> float | None:
-        if self.mu0 is None:
-            return None
-        if isinstance(self.mu0, tuple):
-            return self.mu0[instance]
-        return float(self.mu0)
-
-    def mu0_list(self) -> tuple[float, ...]:
-        if self.mu0 is None:
-            raise ValueError("mu0 is unresolved; supply a numeric value")
-        return self.mu0 if isinstance(self.mu0, tuple) else (float(self.mu0),)
-
-
-@dataclass(frozen=True)
 class TheoryReport:
     """Outcome of the sufficient-condition evaluators.
 
@@ -146,13 +110,6 @@ class TheoryReport:
 # sphere estimators: probe the sphere, then refine from the best probes
 
 _TOL = 1e-9  # the step the refinements decay to
-
-
-def _columns(points) -> np.ndarray:
-    a = points.points if isinstance(points, DataMatrix) else np.asarray(points, dtype=float)
-    if a.ndim != 2 or a.shape[1] == 0:
-        raise ValueError("points must be a non-empty (dim, n) array")
-    return a
 
 
 def _probe_and_refine(fg, probes, vals, mode, n_restarts, n_iters) -> float:
@@ -203,7 +160,7 @@ def estimate_extremal_average(
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    A = _columns(points)
+    A = _columns(points, vector=False)
     W = restrict_to_subspace.basis_S.T @ A if restrict_to_subspace is not None else A
     dim, n = W.shape
 
@@ -229,7 +186,7 @@ def estimate_eta(
     P projects onto the given subspace (identity when subspace is None). The
     probe-and-refine search gives a lower bound of the true maximum.
     """
-    A = _columns(points)
+    A = _columns(points, vector=False)
     n = A.shape[1]
     proj = subspace.project_S if subspace is not None else (lambda V: V)
 

@@ -99,7 +99,7 @@ class ExperimentConfig:
     K0: int = 30
     K_star: int = 10
     max_iters: int = 1000
-    stop_tol: float = 1e-9
+    stop_tol: float = solver.SolverConfig.stop_tol
 
     def __post_init__(self):
         if self.kind not in CELL_KEYS:
@@ -111,6 +111,8 @@ class ExperimentConfig:
         if self.max_iters < 1 or self.stop_tol < 0:
             raise ValueError("invalid solver limits: need max_iters >= 1 and stop_tol >= 0")
         _schedule(self)  # a bad step rule raises here, before any run
+        if self.kind != "continuous_check":  # which always runs pgd
+            _check_step_fields(self.schedule_kind, self)
         if self.kind == "phase_transition":
             if not self.N_grid or not self.M_grid:
                 raise ValueError("phase grid needs N_grid and M_grid")
@@ -197,6 +199,15 @@ def _row_order(row: ResultRow) -> tuple:
     return json.dumps(row.cell, sort_keys=True), row.method, row.trial
 
 
+def _check_step_fields(kind: str, source) -> None:
+    """Reject source's beta, K0 or K_star away from ExperimentConfig's defaults
+    under a step rule that never reads them: every rule but "pgd"."""
+    unread = [n for n in ("beta", "K0", "K_star")
+              if getattr(source, n) != getattr(ExperimentConfig, n)]
+    if kind != "pgd" and unread:
+        raise ValueError(f"schedule {kind!r} does not read {unread}")
+
+
 def _schedule(config: ExperimentConfig) -> solver.StepSchedule:
     """The step rule every solve of config runs: its schedule_kind, or for a
     continuous check a PGD step whose open mu0 is 0.3."""
@@ -219,8 +230,8 @@ def _solve_and_report(config: ExperimentConfig, model, matrix: DataMatrix, metho
     else:
         basis = rsgm.rsgm_run(matrix, rsgm_c, schedule, max_iters=config.max_iters,
                               stop_tol=config.stop_tol)
-    report = as_plain(analysis.recovery_report(basis, model=model, matrix=matrix))
-    del report["orthonormalized_complement"]
+    rep = analysis.recovery_report(basis, model=model, matrix=matrix)
+    report = {k: as_plain(v) for k, v in vars(rep).items() if k != "orthonormalized_complement"}
     if model is not None:
         report["true_codim"] = model.codim
     return report

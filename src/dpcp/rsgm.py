@@ -109,11 +109,6 @@ def rsgm_run(
     def grad(X, aux, rows):
         return _riemannian_subgradient(A, X[0], *aux[0])[None]
 
-    (Bt, trace), = descend(
-        [Bt], value, grad,
-        lambda C: _polar_retract(C[0])[None],
-        lambda X, Y: np.array([np.linalg.norm(Y[0] - X[0])]),
-        lambda G: np.array([np.sum(G[0] * G[0])]),
-        schedule, max_iters, stop_tol,
-    )
+    (Bt, trace), = descend([Bt], value, grad, lambda C: _polar_retract(C[0])[None],
+                           schedule, max_iters, stop_tol)
     return OrthoBasis(columns=Bt.T, trace=trace)

@@ -7,7 +7,7 @@ no orthogonality constraint ties the instances together, so they parallelize
 and decouple completely.
 
 Step rules (StepSchedule): a constant step (Constant), the piecewise-geometric
-decay of geometry.ScheduleParams (flat for K0 iterations, then decaying by
+decay of ScheduleParams (flat for K0 iterations, then decaying by
 beta every K_star), or a monotone backtracking line search (MBLS) with fixed
 constants that accepts a step only on sufficient decrease. A step whose
 candidate collapses to the zero vector raises ValueError under every rule.
@@ -32,9 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .analysis import _basis_array
-from .dataset import DataMatrix, _frozen_array, _unit_columns, unit_sphere_columns
-from .geometry import ScheduleParams
+from .dataset import DataMatrix, _columns, _frozen_array, _unit_columns, unit_sphere_columns
 
 _UNIT_TOL = 1e-8
 PANEL_WIDTH = 16  # rows of a psgm panel; see the module docstring for why it is fixed
@@ -49,6 +47,40 @@ class Constant:
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError(f"invalid step: need mu > 0, got {self.mu}")
+
+
+@dataclass(frozen=True)
+class ScheduleParams:
+    """Piecewise-geometric step rule: mu0 for k < K0, then mu0 * beta^(floor((k-K0)/K_star)+1).
+
+    The solver takes it as a step schedule directly, and the recovery
+    conditions of geometry are stated for it. mu0 may be a scalar, a
+    per-instance tuple, or None (resolved by the solver from the first iterate).
+    """
+
+    mu0: float | tuple[float, ...] | None
+    beta: float
+    K0: int
+    K_star: int
+
+    def __post_init__(self):
+        if self.mu0 is not None:
+            vals = self.mu0 if isinstance(self.mu0, tuple) else (self.mu0,)
+            if any(not v > 0 for v in vals):
+                raise ValueError("invalid step: every mu0 must be > 0")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError(f"invalid decay: need 0 < beta < 1, got {self.beta}")
+        if self.K0 < 1 or self.K_star < 1:
+            raise ValueError("invalid schedule: need K0 >= 1 and K_star >= 1")
+
+    def mu0_for(self, instance: int = 0) -> float | None:
+        mu0 = self.mu0[instance] if isinstance(self.mu0, tuple) else self.mu0
+        return None if mu0 is None else float(mu0)
+
+    def mu0_list(self) -> tuple[float, ...]:
+        if self.mu0 is None:
+            raise ValueError("mu0 is unresolved; supply a numeric value")
+        return self.mu0 if isinstance(self.mu0, tuple) else (float(self.mu0),)
 
 
 @dataclass(frozen=True)
@@ -121,9 +153,10 @@ class Trace:
     step[k] = step taken from iterate k (length K); iterates rows are the
     b-hat sequence when recorded; backtracks counts MBLS rejections per
     iteration.
-    stop_reason is "converged" (the last step moved less than stop_tol),
-    "backtracks_exhausted" (so did the last step, but it failed the MBLS
-    descent test), "max_iters" or "stationary" (no descent direction left).
+    stop_reason is "converged" (the last step's change ||x_new - x||, in
+    Euclidean norm, was below stop_tol), "backtracks_exhausted" (so was it,
+    but the step failed the MBLS descent test), "max_iters" or "stationary"
+    (no descent direction left).
     """
 
     objective: np.ndarray
@@ -172,7 +205,7 @@ class DualBasis:
 
 def objective(matrix: DataMatrix, basis) -> float:
     """f(B) = sum of |<p_j, b_i>| over all points j and columns i."""
-    B = _basis_array(basis)
+    B = _columns(basis)
     if B.shape[0] != matrix.ambient_dim:
         raise ValueError(
             f"dimension mismatch: basis has {B.shape[0]} rows, data has {matrix.ambient_dim}"
@@ -227,7 +260,13 @@ class _Run:
         self.iterates: list[np.ndarray] | None = [] if record_iterates else None
 
 
-def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, stop_tol,
+def _row_sqnorms(A: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of A, each row flattened."""
+    A = A.reshape(len(A), -1)
+    return np.einsum("ij,ij->i", A, A)
+
+
+def descend(starts, value, grad, retract, step, max_iters, stop_tol,
             width=1, shrunk=None, record_iterates=False) -> list[tuple[np.ndarray, Trace]]:
     """The projected subgradient loop x <- retract(x - mu g) behind every method.
 
@@ -239,13 +278,19 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
     grad needs at row s; grad(X, AUX, rows) returns the subgradients of those
     rows from AUX, the list of every slot's aux at X, or None when every one
     of them is stationary; retract(C) maps stepped rows back onto the
-    feasible set, a row of NaN marking a degenerate step; distance(X, Y) and
-    sqnorm(G) act row by row. value and grad may spend one product on the
-    whole panel, so an idle slot keeps its last iterate and step. A row's aux
-    is set only when that row takes a slot or a step, never by a neighbour's.
+    feasible set, a row of NaN marking a degenerate step. value and grad may
+    spend one product on the whole panel, so an idle slot keeps its last
+    iterate and step. A row's aux is set only when that row takes a slot or a
+    step, never by a neighbour's.
+
+    The loop measures every step itself, each row flattened to a vector:
+    ||g||^2 is the squared Euclidean norm of the subgradient, and a problem
+    stops when the Euclidean norm of its change, ||x_new - x||, is below
+    stop_tol (the chord on the sphere, the Frobenius norm for a matrix row),
+    or after max_iters steps.
 
     step is a StepSchedule. A first step it leaves open becomes
-    f(x0)/sqnorm(g(x0)), or 1 when that norm is 0, from the loop's own first
+    f(x0)/||g(x0)||^2, or 1 when that norm is 0, from the loop's own first
     value and subgradient, in the round the start takes its slot. Each round
     values every live row's first candidate in one value call; an open-loop
     step stops there. MBLS then shrinks the step of each row that fails the
@@ -256,11 +301,7 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
     value(C, rows), which values the retracted candidates. A row keeps its
     accepted candidate's f and aux for the next iterate. A degenerate
     candidate raises ValueError under every schedule; MBLS does not shrink
-    its way past it. sqnorm(g) is the ||g||^2 of the first step and the MBLS
-    descent test, passed in because each method rounds it its own way and
-    the accept decisions depend on those bits. A problem stops when
-    distance(x, x_new) < stop_tol or after max_iters steps.
-    Returns (x, Trace) per start, in the order of `starts`.
+    its way past it. Returns (x, Trace) per start, in the order of `starts`.
     """
     if max_iters < 1:
         raise ValueError(f"invalid solver limits: max_iters >= 1, got {max_iters}")
@@ -321,7 +362,7 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
             for s in act:
                 finish(s, "stationary")
             continue
-        gn2 = sqnorm(G)
+        gn2 = _row_sqnorms(G)
         for s, j in zip(new, np.searchsorted(act, new)):  # an open first step from f and g at x0
             mu_auto = F[s] / gn2[j] if gn2[j] > 0 else 1.0
             if mbls:
@@ -354,7 +395,7 @@ def descend(starts, value, grad, retract, distance, sqnorm, step, max_iters, sto
                 cand[s] = aux[s]
         if mbls:
             MU[act] = mu * step.grow
-        stopped = (distance(X[act], moved) < stop_tol).tolist()
+        stopped = (np.sqrt(_row_sqnorms(moved - X[act])) < stop_tol).tolist()
         X[act] = moved
         F[act] = f_new
         for s in act:
@@ -378,15 +419,6 @@ def _sphere_retract(C: np.ndarray) -> np.ndarray:
     back NaN."""
     nc = np.linalg.norm(C, axis=1, keepdims=True)
     return np.divide(C, nc, out=np.full_like(C, np.nan), where=nc > 0)
-
-
-def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", X, Y)
-
-
-def _sphere_distance(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Arc length between matching unit rows."""
-    return np.arccos(np.clip(_row_dots(X, Y), -1.0, 1.0))
 
 
 def _unit_start(matrix: DataMatrix, b0) -> np.ndarray:
@@ -440,9 +472,8 @@ def _psgm_panel(matrix: DataMatrix, starts: list[np.ndarray],
         return np.abs(S).sum(axis=1), dict(zip(rows, S))
 
     return descend(
-        starts, value, grad, _sphere_retract, _sphere_distance,
-        lambda G: _row_dots(G, G), config.schedule, config.max_iters, config.stop_tol,
-        width=PANEL_WIDTH, shrunk=shrunk, record_iterates=config.record_iterates,
+        starts, value, grad, _sphere_retract, config.schedule, config.max_iters,
+        config.stop_tol, width=PANEL_WIDTH, shrunk=shrunk, record_iterates=config.record_iterates,
     )
 
 
@@ -451,9 +482,9 @@ def psgm_single(matrix: DataMatrix, b0: np.ndarray,
     """Run one projected subgradient instance from b0: the one-start case of
     psgm_multi's panel, so its bits equal that instance's column and trace.
 
-    Iterates b <- normalize(b - mu g) until the rotation between successive
-    iterates drops below config.stop_tol or max_iters is reached. Returns the
-    final unit vector and the full trace.
+    Iterates b <- normalize(b - mu g) until the change ||b_new - b|| drops
+    below config.stop_tol or max_iters is reached. Returns the final unit
+    vector and the full trace.
     """
     return _psgm_panel(matrix, [_unit_start(matrix, b0)], config)[0]
 

@@ -77,7 +77,7 @@ def test_solve_writes_each_instance_trace(dataset, tmp_path, capsys):
                             "--trace", str(trace_dir)], capsys)
     assert code == 0 and f"wrote 3 traces to {trace_dir}" in out
     assert sorted(os.listdir(trace_dir)) == ["trace_0.csv", "trace_1.csv", "trace_2.csv"]
-    config = solver.SolverConfig(c_prime=3, max_iters=1000, stop_tol=1e-9, seed=7)
+    config = solver.SolverConfig(c_prime=3, max_iters=1000, seed=7)
     expected = solver.psgm_multi(load_csv(dataset), config).traces[1]
     lines = (trace_dir / "trace_1.csv").read_text().splitlines()
     assert lines[0] == "iteration,objective,step"
@@ -117,13 +117,18 @@ def limit_stats(tmp_path_factory):
     return str(path)
 
 
-def test_theory_exit_zero_when_condition_holds(limit_stats, capsys):
+def test_theory_exit_zero_when_condition_holds(limit_stats, tmp_path, capsys):
+    path = tmp_path / "report.json"
     code, out, _ = run_cli(["theory", "--stats", limit_stats, "--N", "100", "--M", "100",
                             "--D", "16", "--cprime", "4", "--mu0", "1e-4",
-                            "--beta", "0.5", "--K0", "10", "--Kstar", "10"], capsys)
+                            "--beta", "0.5", "--K0", "10", "--Kstar", "10",
+                            "--out", str(path)], capsys)
     assert code == 0
     assert "condition_holds=true" in out
     assert "margin=0.25" in out and "delta_bound=0" in out
+    assert f"wrote report to {path}" in out
+    doc = json.loads(path.read_text())
+    assert doc["condition_holds"] is True and doc["margin"] == 0.25 and doc["delta_bound"] == 0.0
 
 
 def test_theory_exit_three_when_condition_fails(limit_stats, capsys):
@@ -281,6 +286,23 @@ def test_grid_command_runs_config_and_rejects_kind_mismatch(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
 
 
+def test_grid_seed_flag_overrides_the_config_and_failed_cells_reach_stderr(tmp_path, capsys):
+    # rsgm_over at c' = 8 > D = 6 fails its rows; psgm runs on
+    cfg = harness.ExperimentConfig(kind="phase_transition", D=6, d=4, c_prime=8,
+                                   N_grid=(40,), M_grid=(10,), methods=("psgm", "rsgm_over"),
+                                   trials=1, seed=2, max_iters=50)
+    cfg_path = tmp_path / "phase.json"
+    harness.config_to_json(cfg, str(cfg_path))
+    out_csv = tmp_path / "phase.csv"
+    code, out, err = run_cli(["phase", "--config", str(cfg_path), "--seed", "11",
+                              "--out", str(out_csv)], capsys)
+    assert code == 0 and "seed=11" in out
+    want = harness.run_experiment(dataclasses.replace(cfg, seed=11))
+    assert harness.load_results(str(out_csv)).sorted_rows() == [
+        dataclasses.replace(r, wall_time=0.0) for r in want.sorted_rows()]
+    assert err.startswith("1 of 2 cells failed; first: invalid dimensions")
+
+
 @pytest.mark.parametrize("command", ["phase", "continuous"])
 def test_table_commands_write_wall_time_only_with_timing(command, tmp_path, capsys):
     if command == "phase":
@@ -330,7 +352,7 @@ def test_grid_config_takes_ints_as_floats_and_lists_as_tuples(tmp_path):
 
 
 _SOLVE_STEPS = dict(schedule="mbls", mu0=None, beta=0.6, K0=30, K_star=10, max_iters=1000,
-                    stop_tol=1e-9)
+                    stop_tol=1e-8)
 
 
 @pytest.mark.parametrize("argv, defaults", [
@@ -384,6 +406,13 @@ def test_dispatch_usage_and_runtime_exit_codes(dataset, tmp_path, capsys):
                             "--schedule", "const"], capsys)
     assert code == 2
     assert "needs a numeric --mu0" in err
+    code, _, err = run_cli(["solve", "--in", dataset, "--cprime", "2", "--mu0", "abc"], capsys)
+    assert code == 1 and "expected a number or 'auto', got 'abc'" in err
+    for argv, unread in ((["solve", "--schedule", "mbls", "--beta", "1.5"], "['beta']"),
+                         (["rsgm", "--schedule", "const", "--mu0", "0.1", "--Kstar", "3"],
+                          "['K_star']")):
+        code, _, err = run_cli(argv + ["--in", dataset, "--cprime", "2"], capsys)
+        assert code == 2 and f"schedule {argv[2]!r} does not read {unread}" in err
     bad = tmp_path / "bad.csv"
     bad.write_text("x0,x1\n1.0,zap\n")
     code, _, err = run_cli(["solve", "--in", str(bad), "--cprime", "2"], capsys)

@@ -27,6 +27,20 @@ def _angles(problem, trace):
                      for b in trace.iterates])
 
 
+def test_a_converged_run_moved_less_than_stop_tol():
+    # an arccos of the dot product reads moves below about 1.5e-8 as none
+    rng = np.random.default_rng(3)
+    for p in (0.3, 0.6):
+        pr = _problem(p=p, seed=1)
+        for b0 in unit_sphere_columns(rng, 8, 4).T:
+            for sched in (ScheduleParams(mu0=0.3, beta=0.5, K0=50, K_star=5),
+                          ScheduleParams(mu0=None, beta=0.5, K0=20, K_star=10)):
+                _, trace = continuous_psgm_run(pr, b0, sched, max_iters=2000, stop_tol=1e-12,
+                                               record_iterates=True)
+                assert trace.stop_reason == "converged"
+                assert np.linalg.norm(trace.iterates[-1] - trace.iterates[-2]) < 1e-12
+
+
 def test_problem_heights_and_validation():
     pr = _problem()
     assert pr.c_d == hemisphere_height(5)

@@ -266,6 +266,19 @@ def test_config_rejects_fields_its_kind_never_reads(kind, base, foreign):
         ExperimentConfig(kind=kind, D=8, c_prime=4, **base, **foreign)
 
 
+def test_config_rejects_step_fields_its_rule_never_reads():
+    codim = dict(kind="codim_sweep", D=6, N=40, c_prime=3, codim_grid=(2,), r_grid=(0.2,))
+    with pytest.raises(ValueError, match=re.escape(
+            "schedule 'mbls' does not read ['beta', 'K0', 'K_star']")):
+        ExperimentConfig(**codim, beta=1.5, K0=0, K_star=-4)
+    with pytest.raises(ValueError, match=re.escape("schedule 'const' does not read ['K0']")):
+        ExperimentConfig(**codim, schedule_kind="const", mu0=0.1, K0=5)
+    pgd = ExperimentConfig(**codim, schedule_kind="pgd", beta=0.5, K0=5, K_star=2)
+    assert (pgd.beta, pgd.K0, pgd.K_star) == (0.5, 5, 2)
+    assert ExperimentConfig(kind="continuous_check", D=8, d=5, p=0.5, c_prime=4,
+                            beta=0.5, K0=50, K_star=5).K0 == 50  # a continuous check runs pgd
+
+
 def _tiny_table():
     rows = [
         ResultRow(cell={"c": 2, "r": 0.2}, method="psgm", trial=t, seed=t,

@@ -95,7 +95,8 @@ def test_rsgm_automatic_pgd_first_step():
     rn = np.sqrt(np.sum(St * St, axis=0))
     Gt = (A @ (St / rn).T).T
     Gt = Gt - (0.5 * (Bt @ Gt.T + Gt @ Bt.T)) @ Bt
-    expected = float(rn.sum()) / float(np.sum(Gt * Gt))
+    g = Gt.reshape(1, -1)  # descend's ||G||^2: the row flattened, one einsum
+    expected = float(rn.sum()) / float(np.einsum("ij,ij->i", g, g)[0])
     basis = rsgm_run(data, 3, _auto_pgd(), max_iters=5)
     assert basis.trace.step[0] == expected
 

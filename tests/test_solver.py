@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dpcp
 from dpcp.analysis import principal_angles
 from dpcp.dataset import (
     DataMatrix,
@@ -29,7 +32,7 @@ from dpcp.solver import (
     subgradient,
     trace_to_csv,
 )
-from dpcp.solver import _sphere_distance, _sphere_retract
+from dpcp.solver import _sphere_retract
 
 from helpers import (
     brute_objective,
@@ -344,8 +347,7 @@ def test_backtracking_from_images_matches_valuing_each_candidate_by_product():
                        schedule=MBLS(mu_init=1e3))
     basis = psgm_multi(data, cfg)
     starts = [b / np.linalg.norm(b) for b in _starts(30, cfg.c_prime, cfg.seed)]
-    ref = descend(starts, value, grad, _sphere_retract, _sphere_distance,
-                  lambda G: np.einsum("ij,ij->i", G, G), cfg.schedule,
+    ref = descend(starts, value, grad, _sphere_retract, cfg.schedule,
                   cfg.max_iters, cfg.stop_tol, width=PANEL_WIDTH)
     assert np.array_equal(basis.columns, np.column_stack([b for b, _ in ref]))
     for tr, (_, want) in zip(basis.traces, ref):
@@ -390,9 +392,39 @@ def test_finished_and_unused_slots_stay_frozen():
     assert len(set(iters)) == 3
 
 
+def test_a_converged_instance_moved_less_than_stop_tol():
+    # the stop test measures the chord ||b_new - b||, which resolves moves
+    # far below the 1.5e-8 an arccos of the dot product can see
+    cfg = SolverConfig(c_prime=PANEL_WIDTH + 4, seed=2, max_iters=3000, stop_tol=1e-12,
+                       record_iterates=True)
+    traces = [tr for tr in psgm_multi(_d30_data(), cfg).traces if tr.stop_reason == "converged"]
+    assert len(traces) > PANEL_WIDTH
+    assert all(np.linalg.norm(tr.iterates[-1] - tr.iterates[-2]) < cfg.stop_tol for tr in traces)
+
+
+def _dpcp_imports(module: str) -> set[str]:
+    """The dpcp modules a source file of the package imports."""
+    tree = ast.parse(Path(dpcp.__file__).with_name(f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("dpcp")):
+            name = node.module.removeprefix("dpcp").lstrip(".") if node.module else ""
+            found |= {name.split(".")[0]} if name else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("dpcp.")}
+    return found
+
+
+@pytest.mark.parametrize("module, allowed", [("solver", {"dataset"}),
+                                             ("rsgm", {"dataset", "solver"})])
+def test_the_solver_layer_imports_only_the_data_layer(module, allowed):
+    assert _dpcp_imports(module) <= allowed
+    assert "dataset" in _dpcp_imports(module)
+
+
 def test_descend_rejects_an_empty_iteration_budget():
     with pytest.raises(ValueError, match="max_iters >= 1"):
-        descend([np.array([0.6, 0.8])], None, None, None, None, None, Constant(0.1), 0, 0.0)
+        descend([np.array([0.6, 0.8])], None, None, None, Constant(0.1), 0, 0.0)
 
 
 def test_trace_to_csv(tmp_path):
