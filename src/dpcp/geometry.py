@@ -5,11 +5,11 @@ evenly outliers cover the sphere: extremal averages c_min/c_max of |<x, b>|
 over unit directions b, the tangential-residual maxima eta, and the
 closed-form hemisphere height c_k that both approach as sample counts grow.
 Every estimate comes from one search: probe the sphere with random unit
-directions, then refine from the best probes by projected subgradient steps.
-On top of them sit the sufficient-condition evaluators: the initial-angle
-test, the certified step cap mu', the iteration threshold K_diamond, the decay
-bound on beta, the accumulated-step constant kappa, and the spectral recovery
-condition with its probability floor.
+directions, then refine the best probes together, one row each of a single
+solver.descend panel. On top of them sit the sufficient-condition
+evaluators: the initial-angle test, the certified step cap mu', the
+iteration threshold K_diamond, the decay bound on beta, the accumulated-step
+constant kappa, and the spectral recovery condition with its probability floor.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix, SubspaceModel, _columns, unit_sphere_columns
-from .solver import ScheduleParams
+from .solver import ScheduleParams, _sphere_retract, descend
 
 
 def hemisphere_height(k: int) -> float:
@@ -107,39 +107,38 @@ class TheoryReport:
 
 
 # ---------------------------------------------------------------------------
-# sphere estimators: probe the sphere, then refine from the best probes
+# sphere estimators: probe the sphere, then refine the best probes as one panel
 
 _TOL = 1e-9  # the step the refinements decay to
 
 
-def _probe_and_refine(fg, probes, vals, mode, n_restarts, n_iters) -> float:
-    """The min or max (mode) of f over the probe columns, where vals holds f,
-    and over projected subgradient descents or ascents of n_iters normalized
-    steps, decaying from 0.2 to _TOL, from the n_restarts best probes. fg(b)
-    returns (f, g), g=None at a stationary point."""
-    sign = 1.0 if mode == "max" else -1.0
-    order = np.argsort(vals)[::-1] if mode == "max" else np.argsort(vals)
-    found = [float(vals[order[0]])]
-    decay = (_TOL / 0.2) ** (1.0 / max(n_iters - 1, 1))
-    for j in order[: max(n_restarts, 1)]:
-        b = probes[:, j].copy()
-        best, g = fg(b)
-        mu = 0.2
-        for _ in range(n_iters):
-            if g is None:
-                break
-            gt = g - (g @ b) * b
-            ng = np.linalg.norm(gt)
-            if ng < 1e-16:
-                break
-            b = b + sign * mu * gt / ng
-            b /= np.linalg.norm(b)
-            f, g = fg(b)
-            if sign * f > sign * best:
-                best = f
-            mu *= decay
-        found.append(best)
-    return max(found) if mode == "max" else min(found)
+def _probe_and_refine(fg, dim, mode, n_samples, n_restarts, seed, n_iters, screen=None) -> float:
+    """The min or max (mode) of f over n_samples uniform probes of the unit
+    sphere in R^dim and over one descend run (an ascent for max) of n_iters
+    unit tangent steps, decaying from 0.2 to _TOL, from the n_restarts best
+    probes as one panel. fg(B) returns f and a subgradient of each row of B;
+    screen(B), by default fg's f, values the probes."""
+    for name, v in (("n_samples", n_samples), ("n_restarts", n_restarts), ("refine_iters", n_iters)):
+        if v < 1:
+            raise ValueError(f"{name} must be >= 1, got {v}")
+    probes = unit_sphere_columns(np.random.default_rng(seed), dim, n_samples).T
+    vals = screen(probes) if screen else fg(probes)[0]
+    sgn = 1.0 if mode == "min" else -1.0
+    order = np.argsort(sgn * vals)[:n_restarts]
+
+    def value(X, rows):
+        f, g = fg(X)
+        return sgn * f[rows], g
+
+    def grad(X, G, rows):  # a row whose tangent step vanishes stays where it is
+        x, g = X[rows], np.array([G[s] for s in rows])
+        gt = g - np.einsum("ij,ij->i", g, x)[:, None] * x
+        ng = np.linalg.norm(gt, axis=1, keepdims=True)
+        return sgn * np.divide(gt, ng, out=np.zeros_like(gt), where=ng >= 1e-16)
+
+    steps = ScheduleParams(mu0=0.2, beta=(_TOL / 0.2) ** (1.0 / max(n_iters - 1, 1)), K0=1, K_star=1)
+    runs = descend(probes[order], value, grad, _sphere_retract, steps, n_iters, 0.0, width=len(order))
+    return float(sgn * min(sgn * vals[order[0]], *(tr.objective.min() for _, tr in runs)))
 
 
 def estimate_extremal_average(
@@ -156,21 +155,19 @@ def estimate_extremal_average(
     With restrict_to_subspace, b ranges over the unit sphere of that subspace.
     Sphere probes seed local subgradient refinements, so the result is an
     upper bound of the true min (mode="min") and a lower bound of the true max
-    (mode="max").
+    (mode="max"). n_samples, n_restarts and refine_iters must be >= 1.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     A = _columns(points, vector=False)
     W = restrict_to_subspace.basis_S.T @ A if restrict_to_subspace is not None else A
-    dim, n = W.shape
 
-    def fg(b):
-        s = W.T @ b
-        return float(np.abs(s).mean()), W @ np.sign(s) / n
+    def fg(B):
+        S = B @ W
+        return np.abs(S).mean(axis=1), (W @ np.sign(S).T).T / W.shape[1]
 
-    probes = unit_sphere_columns(np.random.default_rng(seed), dim, n_samples)
-    vals = np.abs(W.T @ probes).mean(axis=0)
-    return _probe_and_refine(fg, probes, vals, mode, n_restarts, refine_iters)
+    return _probe_and_refine(fg, W.shape[0], mode, n_samples, n_restarts, seed, refine_iters,
+                             screen=lambda B: np.abs(B @ W).mean(axis=1))  # f alone: one product
 
 
 def estimate_eta(
@@ -187,20 +184,17 @@ def estimate_eta(
     probe-and-refine search gives a lower bound of the true maximum.
     """
     A = _columns(points, vector=False)
-    n = A.shape[1]
-    proj = subspace.project_S if subspace is not None else (lambda V: V)
+    proj = (lambda V: subspace.project_S(V.T).T) if subspace is not None else (lambda V: V)
 
-    def fg(b):
-        w = A @ np.sign(A.T @ b) / n
-        u = proj(w) - (b @ w) * b
-        hb = float(np.linalg.norm(u))
-        return hb, None if hb < 1e-18 else (-(u @ b) * w - (b @ w) * u) / hb
+    def fg(B):
+        W = (A @ np.sign(B @ A).T).T / A.shape[1]
+        bw = np.einsum("ij,ij->i", B, W)[:, None]
+        U = proj(W) - bw * B
+        h = np.linalg.norm(U, axis=1, keepdims=True)
+        g = -np.einsum("ij,ij->i", U, B)[:, None] * W - bw * U
+        return h[:, 0], np.divide(g, h, out=np.zeros_like(g), where=h >= 1e-18)
 
-    B = unit_sphere_columns(np.random.default_rng(seed), A.shape[0], n_samples)
-    W = A @ np.sign(A.T @ B) / n
-    U = proj(W) - B * np.einsum("ij,ij->j", B, W)
-    h = np.linalg.norm(U, axis=0)
-    return _probe_and_refine(fg, B, h, "max", n_restarts, refine_iters)
+    return _probe_and_refine(fg, A.shape[0], "max", n_samples, n_restarts, seed, refine_iters)
 
 
 def estimate_stats(
@@ -211,17 +205,21 @@ def estimate_stats(
     seed: int = 0,
     refine_iters: int = 250,
 ) -> GeometryStats:
-    """Estimate all geometry statistics of a labeled dataset against its model."""
+    """Estimate all geometry statistics of a labeled dataset against its model.
+    The inlier class must not be empty; with no outlier (M = 0) the outlier
+    statistics are 0, as every condition multiplies them by M."""
     if matrix.labels is None:
         raise ValueError("estimate_stats needs a labeled dataset")
     X, O = matrix.split()
+    if not X.size:
+        raise ValueError("the inlier class is empty: no column is labeled 'in'")
     kw = dict(n_samples=n_samples, n_restarts=n_restarts, refine_iters=refine_iters)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(6)]
-    c_X_min = estimate_extremal_average(X, "min", model, seed=seeds[0], **kw) if X.size else 0.0
-    c_X_max = estimate_extremal_average(X, "max", model, seed=seeds[1], **kw) if X.size else 0.0
+    c_X_min = estimate_extremal_average(X, "min", model, seed=seeds[0], **kw)
+    c_X_max = estimate_extremal_average(X, "max", model, seed=seeds[1], **kw)
     c_O_min = estimate_extremal_average(O, "min", None, seed=seeds[2], **kw) if O.size else 0.0
     c_O_max = estimate_extremal_average(O, "max", None, seed=seeds[3], **kw) if O.size else 0.0
-    eta_X = estimate_eta(X, model, seed=seeds[4], **kw) if X.size else 0.0
+    eta_X = estimate_eta(X, model, seed=seeds[4], **kw)
     eta_O = estimate_eta(O, None, seed=seeds[5], **kw) if O.size else 0.0
     return GeometryStats(
         c_X_min=c_X_min, c_X_max=c_X_max, c_O_min=c_O_min, c_O_max=c_O_max,

@@ -17,11 +17,12 @@ run as a panel of PANEL_WIDTH rows, one instance per row, so one block
 product X A gives every row's A^T b and one sgn(S) A^T every row's
 subgradient; when an instance stops, the next start takes its row. The
 width is fixed, not an option, because a BLAS product rounds a row the same
-way whatever slot it sits in and whatever its neighbours hold, but not
-whatever the width. At one fixed width an instance's bits therefore depend
-on its own start alone: psgm_single equals the matching column of
+way whatever its neighbours hold and, at most shapes, whatever slot it sits
+in, but not whatever the width. At one fixed width an instance's bits then
+depend on its own start alone: psgm_single equals the matching column of
 psgm_multi, and a smaller c_prime run is a prefix of a larger one. The bits
-can still change with the BLAS build and its thread count.
+can change with the BLAS build and thread count, as can the exceptions: at
+one thread OpenBLAS 0.3.31 rounds X A (D=200, n=3,750) differently in slots 12-15.
 """
 
 from __future__ import annotations

@@ -148,6 +148,41 @@ def test_extremal_refinement_spends_two_products_per_iteration():
     assert counts == [1 + 2 + 2 * 50, 1 + 2 + 2 * 60]
 
 
+def test_refinement_panel_spends_the_products_of_one_restart():
+    model = sample_haar_subspace(6, 4, seed=1)
+    for estimate, probe_products in ((estimate_extremal_average, 1), (estimate_eta, 2)):
+        counts = []
+        for restarts in (1, 3, 6):
+            data = generate_dataset(model, N=60, M=40, seed=2)
+            products = count_products(data)
+            args = (data, "max") if estimate is estimate_extremal_average else (data,)
+            estimate(*args, n_samples=16, n_restarts=restarts, refine_iters=40, seed=3)
+            counts.append(products[0])
+        # the restarts step as the rows of one panel: two block products per step
+        assert counts == [probe_products + 2 + 2 * 40] * 3
+
+
+@pytest.mark.parametrize("arg", ["n_samples", "n_restarts", "refine_iters"])
+@pytest.mark.parametrize("bad", [0, -3])
+def test_estimators_reject_search_sizes_below_one(arg, bad):
+    model = sample_haar_subspace(6, 4, seed=1)
+    data = generate_dataset(model, N=60, M=40, seed=2)
+    for call in (lambda **kw: estimate_extremal_average(data, "min", **kw),
+                 lambda **kw: estimate_eta(data, **kw),
+                 lambda **kw: estimate_stats(data, model, **kw)):
+        with pytest.raises(ValueError, match=f"{arg} must be >= 1, got {bad}"):
+            call(**{arg: bad})
+
+
+def test_estimate_stats_needs_inliers_and_zeroes_outlier_stats_without_outliers():
+    model = sample_haar_subspace(6, 4, seed=1)
+    with pytest.raises(ValueError, match="inlier class is empty"):
+        estimate_stats(generate_dataset(model, N=0, M=40, seed=2), model)
+    s = estimate_stats(generate_dataset(model, N=60, M=0, seed=2), model, n_samples=16)
+    assert s.c_O_min == s.c_O_max == s.eta_O == 0.0
+    assert s.c_X_min > 0 and s.eta_X > 0
+
+
 def test_estimate_eta_against_grid_oracle():
     # in the plane the objective can be maximized by brute force over angles;
     # the hybrid search is a lower bound and should land within 5e-3 of it

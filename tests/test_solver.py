@@ -298,6 +298,26 @@ def test_panel_bits_depend_only_on_the_start():
         assert np.array_equal(b, big.columns[:, i]) and _same_trace(trace, big.traces[i])
 
 
+@pytest.mark.parametrize("n", [3000, 5000])  # the gate 03 and gate 05 cells
+def test_block_products_round_a_row_alike_in_every_slot(n):
+    # the product-level form of the panel's bitwise contract at D=200; at
+    # n=3,750 some BLAS builds break it (see the solver module docstring)
+    data = generate_dataset(sample_haar_subspace(200, 190, seed=1), N=1500, M=n - 1500, seed=2)
+    A = data.points
+    rng = np.random.default_rng(3)
+    b = unit_sphere_columns(rng, 200, 1)[:, 0]
+    fill = unit_sphere_columns(rng, 200, PANEL_WIDTH).T
+    fill_signs = np.sign(fill @ A)
+    values, grads = [], []
+    for s in range(PANEL_WIDTH):
+        X, signs = fill.copy(), fill_signs.copy()
+        X[s], signs[s] = b, np.sign(b @ A)
+        values.append((X @ A)[s])
+        grads.append((A @ signs.T).T[s])
+    assert all(np.array_equal(v, values[0]) for v in values)
+    assert all(np.array_equal(g, grads[0]) for g in grads)
+
+
 _IMAGE_RTOL = 1e-14  # f of a backtracked iterate, from two images, against its own product
 
 
