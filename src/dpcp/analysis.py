@@ -33,32 +33,29 @@ class RecoveryReport:
     outlier_recall: float | None
 
 
-def estimate_rank(basis, strategy: str = "gap", tau: float = 0.05) -> tuple[int, np.ndarray]:
-    """Estimate how many directions of the candidate basis are independent.
-
-    strategy="gap": the rank is the index of the largest successive singular
-    value ratio s_i / s_(i+1); if no ratio reaches 10 the basis is taken at
-    full width. strategy="threshold": count singular values above tau * s_1.
-    Returns (rank, descending singular values).
+def estimate_rank(basis) -> tuple[int, np.ndarray]:
+    """Estimate how many directions of the candidate basis are independent:
+    the index of the largest successive singular value ratio s_i / s_(i+1);
+    if no ratio reaches 10 the basis is taken at full width. Returns (rank,
+    descending singular values).
     """
     B = _columns(basis)
     s = np.linalg.svd(B, compute_uv=False)
-    if strategy == "gap":
-        if len(s) == 1:
-            return 1, s
-        ratios = np.where(
-            s[1:] > 0, s[:-1] / np.where(s[1:] > 0, s[1:], 1.0),
-            np.where(s[:-1] > 0, np.inf, 1.0),
-        )
-        best = int(np.argmax(ratios))
-        if not ratios[best] >= _GAP_FACTOR:
-            return len(s), s
-        return best + 1, s
-    if strategy == "threshold":
-        if not 0 < tau < 1:
-            raise ValueError(f"invalid threshold: need 0 < tau < 1, got {tau}")
-        return int(np.sum(s > tau * s[0])), s
-    raise ValueError(f"unknown rank strategy {strategy!r}; use 'gap' or 'threshold'")
+    if len(s) == 1:
+        return 1, s
+    ratios = np.where(
+        s[1:] > 0, s[:-1] / np.where(s[1:] > 0, s[1:], 1.0),
+        np.where(s[:-1] > 0, np.inf, 1.0),
+    )
+    best = int(np.argmax(ratios))
+    if not ratios[best] >= _GAP_FACTOR:
+        return len(s), s
+    return best + 1, s
+
+
+def numerical_rank(s: np.ndarray) -> int:
+    """How many of the descending singular values s exceed 1e-8 of the largest."""
+    return int(np.sum(s > _RANK_EPS * s[0]))
 
 
 def orthonormal_column_space(basis, rank: int | None = None) -> np.ndarray:
@@ -66,7 +63,7 @@ def orthonormal_column_space(basis, rank: int | None = None) -> np.ndarray:
     B = _columns(basis)
     u, s, _ = np.linalg.svd(B, full_matrices=False)
     if rank is None:
-        rank = int(np.sum(s > _RANK_EPS * s[0]))
+        rank = numerical_rank(s)
     if not 1 <= rank <= B.shape[1]:
         raise ValueError(f"invalid rank {rank} for a {B.shape[1]}-column basis")
     return u[:, :rank]
@@ -117,6 +114,8 @@ def principal_angles(basis, model: SubspaceModel, against: str = "Sperp") -> np.
     """Per-column principal angle (radians) from the chosen subspace, the
     atan2 of the column's norms in the other subspace and in the chosen one:
     unlike an arccos of the cosine, it resolves angles below 1.5e-8."""
+    if against not in ("S", "Sperp"):
+        raise ValueError(f"unknown subspace {against!r}; use 'S' or 'Sperp'")
     B = _columns(basis)
     target, other = ((model.basis_Sperp, model.basis_S) if against == "Sperp"
                      else (model.basis_S, model.basis_Sperp))
@@ -202,15 +201,13 @@ def recovery_report(
     basis,
     model: SubspaceModel | None = None,
     matrix: DataMatrix | None = None,
-    strategy: str = "gap",
-    tau: float = 0.05,
 ) -> RecoveryReport:
     """Condense a solve into estimated codimension, distances, and outlier scores.
 
     procrustes_distance is only defined when the estimated codimension matches
     the model's; classification metrics require a labeled matrix.
     """
-    rank, svals = estimate_rank(basis, strategy=strategy, tau=tau)
+    rank, svals = estimate_rank(basis)
     Q = orthonormal_column_space(basis, rank)
     proc = proj = ang = None
     prec = rec = f1 = None

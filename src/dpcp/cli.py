@@ -40,26 +40,24 @@ def _mu0_or_auto(text: str) -> float | None:
 
 
 def _schedule_from_args(args) -> solver.StepSchedule:
-    harness._check_step_fields(args.schedule, args)
     return solver.schedule_from(args.schedule, args.mu0, args.beta, args.K0, args.K_star)
 
 
-_CONFIG = harness.ExperimentConfig  # its step-rule defaults are the commands' defaults
-
-
-def _add_step_flags(p: argparse.ArgumentParser, beta: float = _CONFIG.beta, K0: int = _CONFIG.K0,
-                    K_star: int = _CONFIG.K_star, stop_tol: float = _CONFIG.stop_tol,
+def _add_step_flags(p: argparse.ArgumentParser, beta: float = solver.ScheduleParams.beta,
+                    K0: int = solver.ScheduleParams.K0, K_star: int = solver.ScheduleParams.K_star,
+                    stop_tol: float = solver.SolverConfig.stop_tol,
                     schedule: bool = True, descent: bool = True) -> None:
-    """The step-rule flags at this command's defaults: --schedule when it picks a
-    rule, and --max-iters and --stop-tol when it runs a descent."""
+    """The step-rule flags at this command's defaults, ScheduleParams' and
+    SolverConfig's unless it names its own: --schedule when it picks a rule,
+    and --max-iters and --stop-tol when it runs a descent."""
     if schedule:
-        p.add_argument("--schedule", choices=["const", "pgd", "mbls"], default="mbls")
+        p.add_argument("--schedule", choices=solver.SCHEDULE_KINDS, default="mbls")
     p.add_argument("--mu0", type=_mu0_or_auto, default="auto", help="initial step, or 'auto'")
     p.add_argument("--beta", type=float, default=beta)
     p.add_argument("--K0", type=int, default=K0)
     p.add_argument("--Kstar", dest="K_star", type=int, default=K_star)
     if descent:
-        p.add_argument("--max-iters", type=int, default=1000)
+        p.add_argument("--max-iters", type=int, default=solver.SolverConfig.max_iters)
         p.add_argument("--stop-tol", type=float, default=stop_tol)
 
 
@@ -78,8 +76,6 @@ def _add_table_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_basis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cprime", type=int, required=True)
-    p.add_argument("--rank-strategy", dest="strategy", choices=["gap", "threshold"], default="gap")
-    p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--out-basis")
     p.add_argument("--out-report")
 
@@ -136,9 +132,7 @@ def _cmd_rsgm(args) -> int:
 
 def _finish_basis(basis, matrix: DataMatrix, args) -> None:
     """Report the estimated codimension and write the requested outputs."""
-    report = analysis.recovery_report(
-        basis, matrix=matrix, strategy=args.strategy, tau=args.tau
-    )
+    report = analysis.recovery_report(basis, matrix=matrix)
     print(f"estimated_codim={report.estimated_codim}")
     if args.out_basis:
         save_csv(DataMatrix(points=basis.columns, unit_normalized=True), args.out_basis)
@@ -158,7 +152,7 @@ def _estimate_model(matrix: DataMatrix, d: int | None):
         raise ValueError("the inlier class is empty: no column is labeled 'in'")
     u, s, _ = np.linalg.svd(X, full_matrices=True)
     if d is None:
-        d = int(np.sum(s > 1e-8 * s[0]))
+        d = analysis.numerical_rank(s)
     if not 1 <= d < matrix.ambient_dim:
         raise ValueError(f"invalid inlier dimension {d}")
     return SubspaceModel(basis_S=u[:, :d], basis_Sperp=u[:, d:])
@@ -350,7 +344,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import projection_distance
+from .analysis import numerical_rank, projection_distance
 from .dataset import SubspaceModel
 from .geometry import hemisphere_height
-from .solver import MBLS, StepSchedule, Trace, descend
+from .solver import MBLS, SolverConfig, StepSchedule, Trace, descend
 
 _ZERO_TOL = 1e-14
 
@@ -66,7 +66,7 @@ def continuous_psgm_run(
     problem: ContinuousProblem,
     b0: np.ndarray,
     schedule: StepSchedule,
-    max_iters: int = 1000,
+    max_iters: int = SolverConfig.max_iters,
     stop_tol: float = 1e-12,
     record_iterates: bool = False,
 ) -> tuple[np.ndarray, Trace]:
@@ -74,7 +74,8 @@ def continuous_psgm_run(
     projection of b onto S.
 
     A start in S has no well-defined limit and is rejected; a start already in
-    the complement is returned unchanged as the k=0 converged case. An open
+    the complement has no subgradient direction left, so it is returned
+    unchanged after 0 iterations with stop_reason "stationary". An open
     first step (ScheduleParams with mu0=None) becomes f(b0)/||g(b0)||^2, as in
     descend. A step scales the complement component by 1 - mu p c_D: the
     step 1/(p c_D) annihilates it, and steps near or above it drive the
@@ -148,8 +149,7 @@ def continuous_span_check(subspace: SubspaceModel,
         except ValueError as e:
             raise ValueError(f"column {j}: {e}") from e
     B_star = np.column_stack(cols)
-    s = np.linalg.svd(B_star, compute_uv=False)
-    rank = int(np.sum(s > 1e-8 * s[0]))
+    rank = numerical_rank(np.linalg.svd(B_star, compute_uv=False))
     spans = False
     if rank == c:
         spans = projection_distance(B_star, subspace.basis_Sperp) <= 1e-8

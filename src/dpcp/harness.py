@@ -95,10 +95,10 @@ class ExperimentConfig:
     # solver knobs
     schedule_kind: str = "mbls"
     mu0: float | None = None
-    beta: float = 0.6
-    K0: int = 30
-    K_star: int = 10
-    max_iters: int = 1000
+    beta: float = solver.ScheduleParams.beta
+    K0: int = solver.ScheduleParams.K0
+    K_star: int = solver.ScheduleParams.K_star
+    max_iters: int = solver.SolverConfig.max_iters
     stop_tol: float = solver.SolverConfig.stop_tol
 
     def __post_init__(self):
@@ -106,13 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.D < 2 or self.trials < 1 or self.c_prime < 1:
             raise ValueError("invalid config: D >= 2, trials >= 1, c_prime >= 1")
-        if self.schedule_kind not in ("const", "pgd", "mbls"):
-            raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
-        if self.max_iters < 1 or self.stop_tol < 0:
-            raise ValueError("invalid solver limits: need max_iters >= 1 and stop_tol >= 0")
+        solver.check_limits(self.max_iters, self.stop_tol)
         _schedule(self)  # a bad step rule raises here, before any run
-        if self.kind != "continuous_check":  # which always runs pgd
-            _check_step_fields(self.schedule_kind, self)
         if self.kind == "phase_transition":
             if not self.N_grid or not self.M_grid:
                 raise ValueError("phase grid needs N_grid and M_grid")
@@ -197,15 +192,6 @@ class ResultTable:
 
 def _row_order(row: ResultRow) -> tuple:
     return json.dumps(row.cell, sort_keys=True), row.method, row.trial
-
-
-def _check_step_fields(kind: str, source) -> None:
-    """Reject source's beta, K0 or K_star away from ExperimentConfig's defaults
-    under a step rule that never reads them: every rule but "pgd"."""
-    unread = [n for n in ("beta", "K0", "K_star")
-              if getattr(source, n) != getattr(ExperimentConfig, n)]
-    if kind != "pgd" and unread:
-        raise ValueError(f"schedule {kind!r} does not read {unread}")
 
 
 def _schedule(config: ExperimentConfig) -> solver.StepSchedule:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix, _frozen_array
-from .solver import StepSchedule, Trace, descend
+from .solver import SolverConfig, StepSchedule, Trace, descend
 
 _ORTHO_TOL = 1e-8
 
@@ -91,13 +91,14 @@ def rsgm_run(
     matrix: DataMatrix,
     c_prime: int,
     schedule: StepSchedule,
-    max_iters: int = 500,
-    stop_tol: float = 1e-10,
+    max_iters: int = SolverConfig.max_iters,
+    stop_tol: float = SolverConfig.stop_tol,
 ) -> OrthoBasis:
     """Riemannian subgradient descent from the spectral initializer.
 
     Stops when the Frobenius movement between successive iterates drops below
-    stop_tol or after max_iters. Deterministic: no randomness enters the run.
+    stop_tol or after max_iters, whose defaults are SolverConfig's.
+    Deterministic: no randomness enters the run.
     """
     A = matrix.points
     Bt = spectral_init(matrix, c_prime).columns.T

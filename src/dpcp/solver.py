@@ -60,9 +60,9 @@ class ScheduleParams:
     """
 
     mu0: float | tuple[float, ...] | None
-    beta: float
-    K0: int
-    K_star: int
+    beta: float = 0.6
+    K0: int = 30
+    K_star: int = 10
 
     def __post_init__(self):
         if self.mu0 is not None:
@@ -107,6 +107,7 @@ class MBLS:
 
 
 StepSchedule = Constant | ScheduleParams | MBLS
+SCHEDULE_KINDS = ("const", "pgd", "mbls")  # the rule names schedule_from knows
 
 
 def step_size(schedule: StepSchedule, k: int, instance: int = 0) -> float | None:
@@ -131,7 +132,7 @@ class SolverConfig:
     """Knobs shared by every instance of a pursuit run."""
 
     c_prime: int = 1
-    max_iters: int = 2000
+    max_iters: int = 1000
     stop_tol: float = 1e-8
     schedule: StepSchedule = field(default_factory=MBLS)
     seed: int = 0
@@ -140,8 +141,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.c_prime < 1:
             raise ValueError(f"invalid dimensions: c_prime >= 1, got {self.c_prime}")
-        if self.max_iters < 1 or self.stop_tol < 0:
-            raise ValueError("invalid solver limits")
+        check_limits(self.max_iters, self.stop_tol)
+
+
+def check_limits(max_iters: int, stop_tol: float) -> None:
+    """The limits every descent takes: at least one step and a stop_tol >= 0."""
+    if max_iters < 1 or stop_tol < 0:
+        raise ValueError(f"invalid solver limits: need max_iters >= 1 and stop_tol >= 0, "
+                         f"got {max_iters} and {stop_tol}")
 
 
 @dataclass
@@ -237,14 +244,22 @@ def average_terms(matrix: DataMatrix, b: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def schedule_from(kind: str, mu0: float | None, beta: float, K0: int, K_star: int) -> StepSchedule:
-    """The step schedule named kind ("const", "pgd" or "mbls"). mu0=None leaves
-    the first step to descend, which a constant schedule does not allow."""
+    """The step schedule named kind, one of SCHEDULE_KINDS. Only "pgd" reads
+    beta, K0 and K_star; under the others each must keep its ScheduleParams
+    default. mu0=None leaves the first step to descend, which a constant
+    schedule does not allow."""
+    if kind not in SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    if kind == "pgd":
+        return ScheduleParams(mu0=mu0, beta=beta, K0=K0, K_star=K_star)
+    unread = [n for n, v in (("beta", beta), ("K0", K0), ("K_star", K_star))
+              if v != getattr(ScheduleParams, n)]
+    if unread:
+        raise ValueError(f"schedule {kind!r} does not read {unread}")
     if kind == "const":
         if mu0 is None:
             raise ValueError("schedule 'const' needs a numeric --mu0 (config field mu0)")
         return Constant(mu0)
-    if kind == "pgd":
-        return ScheduleParams(mu0=mu0, beta=beta, K0=K0, K_star=K_star)
     return MBLS(mu_init=mu0)
 
 
@@ -304,8 +319,7 @@ def descend(starts, value, grad, retract, step, max_iters, stop_tol,
     candidate raises ValueError under every schedule; MBLS does not shrink
     its way past it. Returns (x, Trace) per start, in the order of `starts`.
     """
-    if max_iters < 1:
-        raise ValueError(f"invalid solver limits: max_iters >= 1, got {max_iters}")
+    check_limits(max_iters, stop_tol)
     if shrunk is None:
         shrunk = lambda C, rows, *_: value(C, rows)
     mbls = isinstance(step, MBLS)

@@ -10,6 +10,7 @@ from dpcp.analysis import (
     estimate_rank,
     f1_score,
     max_subspace_angle,
+    numerical_rank,
     orthonormal_column_space,
     principal_angles,
     projection_distance,
@@ -46,17 +47,6 @@ def test_estimate_rank_gap():
     assert estimate_rank(np.ones((4, 1)))[0] == 1
     zero_tail = _with_singular_values([1.0, 0.0])
     assert estimate_rank(zero_tail)[0] == 1  # infinite ratio counts as a gap
-
-
-def test_estimate_rank_threshold():
-    B = _with_singular_values([1.0, 0.2, 0.01])
-    rank, _ = estimate_rank(B, strategy="threshold", tau=0.05)
-    assert rank == 2
-    assert estimate_rank(B, strategy="threshold", tau=0.5)[0] == 1
-    with pytest.raises(ValueError, match="invalid threshold"):
-        estimate_rank(B, strategy="threshold", tau=1.5)
-    with pytest.raises(ValueError, match="unknown rank strategy"):
-        estimate_rank(B, strategy="elbow")
     with pytest.raises(ValueError, match="basis"):
         estimate_rank(np.empty((3, 0)))
 
@@ -70,6 +60,9 @@ def test_orthonormal_column_space():
     assert Q3.shape == (6, 3)
     with pytest.raises(ValueError, match="invalid rank"):
         orthonormal_column_space(B, rank=4)
+    # the numerical rank counts singular values strictly above 1e-8 of the largest
+    assert numerical_rank(np.array([2.0, 1.0, 1e-12])) == 2
+    assert numerical_rank(np.array([1.0, 1.0000001e-8, 1e-8])) == 2
 
 
 def test_subspace_distance_identities():
@@ -124,6 +117,8 @@ def test_principal_angles_per_column():
     assert abs(ang[1] - t) < 1e-12
     flipped = principal_angles(B, model, against="S")
     assert abs(flipped[1] - (math.pi / 2 - t)) < 1e-12
+    with pytest.raises(ValueError, match="unknown subspace 'bogus'"):
+        principal_angles(B, model, against="bogus")
 
 
 def test_angles_resolve_below_the_arccos_floor():

@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in-process through dispatch()."""
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import dpcp
-from dpcp import cli, geometry, harness, solver
+from dpcp import cli, geometry, harness, rsgm, solver
 from dpcp.dataset import DataMatrix, load_csv, save_csv
 from dpcp.serialize import to_json
 
@@ -368,6 +369,26 @@ def test_step_flag_defaults_per_command(argv, defaults):
     assert not (set(_SOLVE_STEPS) - set(defaults)) & set(args)  # flags it does not declare
 
 
+def test_solve_settings_default_to_the_solver_settings():
+    # SolverConfig holds the limits and ScheduleParams the step rule's numbers;
+    # every other default reads them, so `dpcp solve --cprime c --seed s` runs
+    # psgm_multi(m, SolverConfig(c_prime=c, seed=s)), and `dpcp rsgm --cprime c`
+    # runs rsgm_run(m, c, MBLS())
+    limits = {n: getattr(solver.SolverConfig, n) for n in ("max_iters", "stop_tol")}
+    steps = {n: getattr(solver.ScheduleParams, n) for n in ("beta", "K0", "K_star")}
+    assert limits == dict(max_iters=1000, stop_tol=1e-8)
+    assert steps == dict(beta=0.6, K0=30, K_star=10)
+    config = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)}
+    sources = [vars(cli.build_parser().parse_args([command, "--in", "d.csv", "--cprime", "2"]))
+               for command in ("solve", "rsgm")] + [dict(config, schedule=config["schedule_kind"])]
+    for s in sources:
+        assert {n: s[n] for n in {**limits, **steps}} == {**limits, **steps}
+        assert solver.schedule_from(s["schedule"], s["mu0"], s["beta"], s["K0"],
+                                    s["K_star"]) == solver.SolverConfig().schedule
+    params = inspect.signature(rsgm.rsgm_run).parameters
+    assert {n: params[n].default for n in limits} == limits
+
+
 def test_table_commands_reject_broken_solver_settings_before_the_run(tmp_path, capsys):
     cfg = harness.ExperimentConfig(kind="codim_sweep", D=6, N=40, c_prime=3,
                                    codim_grid=(2,), r_grid=(0.2,))
@@ -418,6 +439,33 @@ def test_dispatch_usage_and_runtime_exit_codes(dataset, tmp_path, capsys):
     code, _, err = run_cli(["solve", "--in", str(bad), "--cprime", "2"], capsys)
     assert code == 2
     assert "error:" in err and "'zap'" in err
+    unlabeled = tmp_path / "unlabeled.csv"
+    save_csv(DataMatrix(points=load_csv(dataset).points, unit_normalized=True), str(unlabeled))
+    for argv, message in (
+        (["geometry", "--in", str(unlabeled)], "need a labeled dataset"),
+        (["geometry", "--in", dataset, "--d", "8"], "invalid inlier dimension 8"),
+        (["theory", "--D", "8", "--cprime", "2"], "pass --stats stats.json or --in data.csv"),
+        (["rsgm", "--in", dataset, "--cprime", "2", "--stop-tol", "-1"],
+         "invalid solver limits: need max_iters >= 1 and stop_tol >= 0, got 1000 and -1.0"),
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and err.startswith("error: ") and message in err, (argv, err)
+
+
+def test_dispatch_turns_only_input_errors_into_exit_two(monkeypatch, capsys):
+    def fail_with(exc):
+        def fail(args):
+            raise exc
+        return fail
+
+    argv = ["gen", "--D", "4", "--d", "2", "--N", "10", "--M", "5", "--out", "d.csv"]
+    for exc in (ValueError("bad value"), OSError("no disk")):
+        monkeypatch.setattr(cli, "_cmd_gen", fail_with(exc))
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and err == f"error: {exc}\n"
+    monkeypatch.setattr(cli, "_cmd_gen", fail_with(KeyError("max_iters")))
+    with pytest.raises(KeyError, match="max_iters"):
+        cli.dispatch(argv)
 
 
 def test_module_entry_point_runs_a_command(tmp_path):

@@ -150,6 +150,8 @@ def test_run_rejections():
         continuous_psgm_run(pr, b0, MBLS())
     with pytest.raises(ValueError, match="unit norm"):
         continuous_psgm_run(pr, 2.0 * b0, Constant(0.1))
+    with pytest.raises(ValueError, match="invalid solver limits"):
+        continuous_psgm_run(pr, b0, Constant(0.1), stop_tol=-1.0)
 
 
 def test_run_rejects_steps_near_the_forbidden_one():

@@ -53,6 +53,23 @@ def test_config_validation():
         ExperimentConfig(kind="continuous_check", D=8, d=5, c_prime=4)
     with pytest.raises(ValueError, match="at least the codimension"):
         ExperimentConfig(kind="continuous_check", D=8, d=5, p=0.5, c_prime=2)
+    for bad, message in (
+        (lambda: _phase_config(N_grid=(0,)), "invalid grid: every N >= 1 and M >= 0"),
+        (lambda: _phase_config(M_grid=(-1,)), "invalid grid: every N >= 1 and M >= 0"),
+        (lambda: _phase_config(d=8), "phase grid needs 1 <= d < D"),
+        (lambda: ExperimentConfig(kind="codim_sweep", D=10, N=50, r_grid=(0.2,)),
+         "codim sweep needs codim_grid and r_grid"),
+        (lambda: ExperimentConfig(kind="codim_sweep", D=10, N=50, codim_grid=(10,),
+                                  r_grid=(0.2,)), "invalid grid: every codimension in [1, D)"),
+        (lambda: ExperimentConfig(kind="codim_sweep", D=10, N=50, codim_grid=(2,),
+                                  r_grid=(1.0,)), "invalid ratio: every r in (0, 1)"),
+        (lambda: ExperimentConfig(kind="outlier_pursuit", D=6, proxy_inlier_dim=6,
+                                  r_grid=(0.5,)), "invalid proxy dimensions"),
+        (lambda: ExperimentConfig(kind="continuous_check", D=8, d=8, p=0.5, c_prime=4),
+         "continuous check needs 1 <= d < D"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bad()
     # a kind that runs one method names only that one
     codim = dict(kind="codim_sweep", D=6, N=40, codim_grid=(2,), r_grid=(0.2,))
     with pytest.raises(ValueError, match=r"unknown methods \['bogus', 'rsgm'\]"):

@@ -107,6 +107,8 @@ def test_rsgm_iterates_stay_orthonormal():
     result = rsgm_run(data, c_prime=2, schedule=_auto_pgd(K0=10), max_iters=40)
     G = result.columns.T @ result.columns
     assert np.max(np.abs(G - np.eye(2))) < 1e-10
+    with pytest.raises(ValueError, match="invalid solver limits"):
+        rsgm_run(data, c_prime=2, schedule=MBLS(), stop_tol=-1.0)
 
 
 @pytest.mark.parametrize("zero_column", [False, True])

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from dpcp.solver import (
     objective,
     psgm_multi,
     psgm_single,
+    schedule_from,
     step_size,
     subgradient,
     trace_to_csv,
@@ -445,6 +447,27 @@ def test_the_solver_layer_imports_only_the_data_layer(module, allowed):
 def test_descend_rejects_an_empty_iteration_budget():
     with pytest.raises(ValueError, match="max_iters >= 1"):
         descend([np.array([0.6, 0.8])], None, None, None, Constant(0.1), 0, 0.0)
+
+
+@pytest.mark.parametrize("max_iters, stop_tol", [(0, 1e-8), (1000, -1.0)])
+def test_one_limits_check_serves_every_descent(max_iters, stop_tol):
+    message = re.escape("invalid solver limits: need max_iters >= 1 and stop_tol >= 0, "
+                        f"got {max_iters} and {stop_tol}")
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(max_iters=max_iters, stop_tol=stop_tol)
+    with pytest.raises(ValueError, match=message):
+        descend([np.array([0.6, 0.8])], None, None, None, Constant(0.1), max_iters, stop_tol)
+
+
+def test_schedule_from_knows_three_rules_and_the_fields_each_reads():
+    assert schedule_from("mbls", None, 0.6, 30, 10) == MBLS()
+    assert schedule_from("const", 0.1, 0.6, 30, 10) == Constant(0.1)
+    assert schedule_from("pgd", None, 0.5, 5, 2) == ScheduleParams(None, 0.5, 5, 2)
+    assert ScheduleParams(0.1) == ScheduleParams(0.1, 0.6, 30, 10)
+    with pytest.raises(ValueError, match="unknown schedule kind 'adam'"):
+        schedule_from("adam", None, 0.6, 30, 10)
+    with pytest.raises(ValueError, match=re.escape("schedule 'mbls' does not read ['K0']")):
+        schedule_from("mbls", None, 0.6, 31, 10)
 
 
 def test_trace_to_csv(tmp_path):
